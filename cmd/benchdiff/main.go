@@ -76,7 +76,7 @@ type ExtraDelta struct {
 	Unit       string
 	Base, Cur  float64
 	DeltaPct   float64 // (cur-base)/base * 100; 0 when base is 0
-	Regression bool    // grew beyond the ns/op threshold
+	Regression bool    // moved the worse way beyond the ns/op threshold
 }
 
 // Row is one line of the diff table.
@@ -149,9 +149,11 @@ func diff(base, cur *File, maxRegressPct, maxAllocRegressPct float64) []Row {
 			}
 		}
 		// Custom metrics (evals/write, ms/write, ...) gate exactly like
-		// ns/op when both summaries recorded the unit. Units on one side
-		// only are ignored — adding or retiring a metric is not a
-		// regression, the baseline refresh picks it up.
+		// ns/op when both summaries recorded the unit, except rates
+		// (units per second, such as the MB/s of b.SetBytes), which
+		// regress when they fall. Units on one side only are ignored —
+		// adding or retiring a metric is not a regression, the baseline
+		// refresh picks it up.
 		units := make([]string, 0, len(b.Extra))
 		for unit := range b.Extra {
 			if _, ok := r.Extra[unit]; ok {
@@ -163,7 +165,11 @@ func diff(base, cur *File, maxRegressPct, maxAllocRegressPct float64) []Row {
 			ed := ExtraDelta{Unit: unit, Base: b.Extra[unit], Cur: r.Extra[unit]}
 			if ed.Base > 0 {
 				ed.DeltaPct = (ed.Cur - ed.Base) / ed.Base * 100
-				ed.Regression = ed.DeltaPct > maxRegressPct
+				worse := ed.DeltaPct
+				if strings.HasSuffix(unit, "/s") {
+					worse = -worse
+				}
+				ed.Regression = worse > maxRegressPct
 			}
 			row.Extras = append(row.Extras, ed)
 		}

@@ -191,3 +191,33 @@ func TestShapeString(t *testing.T) {
 		t.Error("different Go toolchains must yield different shapes")
 	}
 }
+
+// TestDiffRateMetricsHigherIsBetter pins the direction of rate units:
+// a throughput such as MB/s (from b.SetBytes) regresses when it falls,
+// not when it rises, while other custom units regress when they grow.
+func TestDiffRateMetricsHigherIsBetter(t *testing.T) {
+	base := mkFile(1,
+		Result{Package: "p", Name: "BenchmarkFaster", NsPerOp: 100, Extra: map[string]float64{"MB/s": 1, "ms/write": 10}},
+		Result{Package: "p", Name: "BenchmarkSlower", NsPerOp: 100, Extra: map[string]float64{"MB/s": 4}},
+	)
+	cur := mkFile(1,
+		Result{Package: "p", Name: "BenchmarkFaster", NsPerOp: 100, Extra: map[string]float64{"MB/s": 3, "ms/write": 20}},
+		Result{Package: "p", Name: "BenchmarkSlower", NsPerOp: 100, Extra: map[string]float64{"MB/s": 2}},
+	)
+	got := map[string]bool{}
+	for _, r := range diff(base, cur, 25, 25) {
+		for _, e := range r.Extras {
+			got[r.Key+" "+e.Unit] = e.Regression
+		}
+	}
+	want := map[string]bool{
+		"p BenchmarkFaster MB/s":     false,
+		"p BenchmarkFaster ms/write": true,
+		"p BenchmarkSlower MB/s":     true,
+	}
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("%s regression = %v, want %v", k, got[k], w)
+		}
+	}
+}

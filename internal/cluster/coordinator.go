@@ -724,7 +724,14 @@ func (c *Coordinator) evalStandingGroup(_ string, metas []any, state any) (evals
 		newState = &groupState{worlds: raw.Worlds}
 	}
 	region := &coordRegion{q: encodeQuery(spec.Q, spec.Ts, spec.Te), ts: spec.Ts, te: spec.Te, bound: inf.PruneDist}
+	shared := make(map[shard.GroupItem]sub.Eval, len(items))
 	for i, a := range answers {
+		// One immutable Response per (op, tau), shared by every member
+		// with that item (pnn.SubEvent payloads are read-only).
+		if ev, ok := shared[items[i]]; ok {
+			evals[i] = ev
+			continue
+		}
 		resp := pnn.ResponseFromAnswer(items[i].Op, a, raw)
 		resp.Stats.SamplerBuilds = raw.SamplerBuilds
 		resp.Stats.GroupSize = len(reqs)
@@ -744,6 +751,7 @@ func (c *Coordinator) evalStandingGroup(_ string, metas []any, state any) (evals
 			ev.Region = region
 		}
 		evals[i] = ev
+		shared[items[i]] = ev
 	}
 	return evals, newState
 }

@@ -1,5 +1,7 @@
 package inference
 
+import "math"
+
 // Walker alias tables for O(1) categorical draws in the sampling hot
 // path. The cumulative-row representation the Sampler used previously
 // costs a binary search per transition; the alias method (Walker 1977,
@@ -7,50 +9,69 @@ package inference
 // lookup and one comparison, which is what makes drawing tens of
 // thousands of possible worlds per query allocation- and search-free.
 
-// rowAlias holds the alias tables of one timestep's adapted transition
-// matrix F(t), aligned entry-for-entry with the adj CSR arrays: slot k
-// describes the k-th stored transition. next[k] additionally caches the
-// row index (in F(t+1)) of the destination state dst[k], so a sampling
-// walk never re-derives its current row by binary search; -1 marks
-// destinations with no successor row (only legal at the model's last
-// transition).
-type rowAlias struct {
-	prob  []float64 // acceptance threshold per slot
-	alias []int32   // replacement slot (global index into the same row)
-	next  []int32   // row index of dst[k] in the NEXT timestep's adj
+// aliasEntry is one slot of a fused Walker alias table, 16 bytes, aligned
+// entry-for-entry with a timestep's adj CSR arrays: slot k describes the
+// k-th stored transition. A draw u picks slot lo+⌊hi32(u)·n/2³²⌋ of the
+// current row and keeps it iff uint32(u) < thr, else jumps to alias.
+// The kept slot's nextLo/nextN are the row span of its destination state
+// in the FOLLOWING timestep's table, so one walk step is one dependent
+// load of one entry — no row offsets, no binary search. nextN == 0 marks
+// a destination with no successor row (only legal at the model's last
+// transition, where nextLo is -1).
+type aliasEntry struct {
+	thr    uint32 // keep the slot iff uint32(u) < thr
+	alias  int32  // replacement slot (global index into the same table)
+	nextLo int32  // first slot of the destination's row in the next table
+	nextN  int32  // length of that row; 0 when no row follows
 }
 
-// buildRowAlias constructs per-row alias tables for every row of a,
-// plus the next-row index cache: sc must currently index the FOLLOWING
-// timestep's matrix (see aliasScratch.index), so every destination
-// state resolves to its successor row in O(1) instead of by binary
-// search — the build stays linear in the number of stored transitions.
-func buildRowAlias(a *adj, sc *aliasScratch) rowAlias {
-	ra := rowAlias{
-		prob:  make([]float64, len(a.p)),
-		alias: make([]int32, len(a.p)),
-		next:  make([]int32, len(a.dst)),
+// pick resolves one 64-bit draw against the row [lo, lo+n) of a fused
+// table: the high 32 bits choose a slot by fixed-point scaling, the low
+// 32 bits decide between the slot and its alias.
+func pick(ents []aliasEntry, lo, n int32, u uint64) int32 {
+	k := lo + int32(((u>>32)*uint64(n))>>32)
+	if uint32(u) >= ents[k].thr {
+		k = ents[k].alias
 	}
+	return k
+}
+
+// buildStepTable constructs the fused alias table of every row of a.
+// sc must currently index the FOLLOWING timestep's matrix next (see
+// aliasScratch.index; nil at the model's last transition), so every
+// destination resolves to its successor row span in O(1) — the build
+// stays linear in the number of stored transitions.
+func buildStepTable(a, next *adj, sc *aliasScratch) []aliasEntry {
+	ents := make([]aliasEntry, len(a.p))
 	for r := 0; r+1 < len(a.off); r++ {
 		lo, hi := int(a.off[r]), int(a.off[r+1])
-		buildAliasRange(a.p[lo:hi], ra.prob[lo:hi], ra.alias[lo:hi], int32(lo), sc)
+		buildAliasRange(a.p[lo:hi], ents[lo:hi], int32(lo), sc)
 	}
 	for k, d := range a.dst {
-		ra.next[k] = sc.lookup(d)
+		ents[k].nextLo, ents[k].nextN = rowSpan(next, sc.lookup(d))
 	}
-	return ra
+	return ents
 }
 
-// aliasDist is an alias table over an explicit state set — the entry
-// distribution of a window-restricted sample (the posterior marginal at
-// the window start). rowOf[k] caches the row index of states[k] in the
-// adapted transition matrix leaving that timestep (-1 at the model end,
-// where no transition follows).
-type aliasDist struct {
+// rowSpan returns the slot range of row `row` of a, or (-1, 0) when
+// row is -1 (no successor row).
+func rowSpan(a *adj, row int32) (lo, n int32) {
+	if row < 0 {
+		return -1, 0
+	}
+	return a.off[row], a.off[row+1] - a.off[row]
+}
+
+// entryDist is the posterior marginal at one timestep in both draw
+// forms: cumulative (the math/rand path) and fused alias (the columnar
+// mcrand kernel). ents[k].nextLo/nextN is the row span of states[k] in
+// the transition table leaving this timestep ((-1, 0) at the model end,
+// where no transition follows), so a walk enters its first step exactly
+// as it leaves every later one.
+type entryDist struct {
 	states []int32
-	rowOf  []int32
-	prob   []float64
-	alias  []int32
+	cum    []float64 // strictly increasing, last element ~1
+	ents   []aliasEntry
 }
 
 // aliasScratch holds the work lists of Vose's construction plus a
@@ -100,12 +121,13 @@ func (sc *aliasScratch) lookup(s int32) int32 {
 	return sc.rowOf[s]
 }
 
-// buildAliasRange fills prob/alias (local slices of one row) from the
-// weight vector w using Vose's O(n) algorithm. base is added to the
-// stored alias indices so they are global into the row storage, letting
-// the draw skip the lo+ offset addition. Weights need not be
-// normalized; zero-weight slots become pure alias slots.
-func buildAliasRange(w, prob []float64, alias []int32, base int32, sc *aliasScratch) {
+// buildAliasRange fills the thresholds and aliases of ents (the local
+// slots of one row) from the weight vector w using Vose's O(n)
+// algorithm. base is added to the stored alias indices so they are
+// global into the table, letting the draw skip the lo+ offset addition.
+// Weights need not be normalized; zero-weight slots become pure alias
+// slots.
+func buildAliasRange(w []float64, ents []aliasEntry, base int32, sc *aliasScratch) {
 	n := len(w)
 	if n == 0 {
 		return
@@ -116,9 +138,8 @@ func buildAliasRange(w, prob []float64, alias []int32, base int32, sc *aliasScra
 	}
 	if total <= 0 {
 		// Degenerate row: make every slot accept itself uniformly.
-		for i := range prob {
-			prob[i] = 1
-			alias[i] = base + int32(i)
+		for i := range ents {
+			ents[i].set(1, base+int32(i), base+int32(i))
 		}
 		return
 	}
@@ -139,8 +160,7 @@ func buildAliasRange(w, prob []float64, alias []int32, base int32, sc *aliasScra
 		s := sc.small[len(sc.small)-1]
 		sc.small = sc.small[:len(sc.small)-1]
 		l := sc.large[len(sc.large)-1]
-		prob[s] = sc.scaled[s]
-		alias[s] = base + l
+		ents[s].set(sc.scaled[s], base+l, base+s)
 		sc.scaled[l] -= 1 - sc.scaled[s]
 		if sc.scaled[l] < 1 {
 			sc.large = sc.large[:len(sc.large)-1]
@@ -149,20 +169,29 @@ func buildAliasRange(w, prob []float64, alias []int32, base int32, sc *aliasScra
 	}
 	// Leftovers on either list are numerically ~1: accept outright.
 	for _, i := range sc.large {
-		prob[i] = 1
-		alias[i] = base + i
+		ents[i].set(1, base+i, base+i)
 	}
 	for _, i := range sc.small {
-		prob[i] = 1
-		alias[i] = base + i
+		ents[i].set(1, base+i, base+i)
 	}
 }
 
-// aliasPick splits one 64-bit draw into a uniform slot in [0, n) (high
-// 32 bits, fixed-point scaled — no modulo bias worth caring about) and
-// a uniform acceptance fraction in [0, 1) (low 32 bits).
-func aliasPick(u uint64, n int) (slot int, frac float64) {
-	slot = int(((u >> 32) * uint64(n)) >> 32)
-	frac = float64(uint32(u)) * (1.0 / (1 << 32))
-	return slot, frac
+// set stores a Walker slot — acceptance probability prob, replacement
+// slot alias — at global index self in fused form. For the low 32 bits
+// x of a draw, the Walker test "redirect iff x·2⁻³² ≥ prob" is exactly
+// x ≥ ⌈prob·2³²⌉ (x is an integer and scaling by 2³² is exact), which
+// is what keeps fused draws byte-identical to float ones. A threshold
+// of 2³² or more (prob ≈ 1, or NaN, where the float test never
+// redirects) does not fit in 32 bits, so the slot becomes its own
+// alias: x = 2³²−1 then "redirects" to itself.
+func (e *aliasEntry) set(prob float64, alias, self int32) {
+	c := math.Ceil(prob * (1 << 32))
+	switch {
+	case c <= 0:
+		e.thr, e.alias = 0, alias
+	case c < 1<<32:
+		e.thr, e.alias = uint32(c), alias
+	default:
+		e.thr, e.alias = math.MaxUint32, self
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pnn/internal/markov"
+	"pnn/internal/mcrand"
 	"pnn/internal/space"
 	"pnn/internal/sparse"
 	"pnn/internal/uncertain"
@@ -584,7 +585,9 @@ func BenchmarkAdapt(b *testing.B) {
 // BenchmarkNewSampler tracks the alias-table build cost — the one-off
 // per-object price of O(1) draws, paid inside PrepareAll and on every
 // sampler-cache miss.
-func BenchmarkNewSampler(b *testing.B) {
+// benchModel adapts a 60-tic object observed every 15 tics on a
+// 5000-state synthetic network, the fixture of the sampler benchmarks.
+func benchModel(b *testing.B) *Model {
 	rng := rand.New(rand.NewSource(1))
 	sp, err := space.Synthetic(5000, 8, rng)
 	if err != nil {
@@ -610,10 +613,31 @@ func BenchmarkNewSampler(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return m
+}
+
+func BenchmarkNewSampler(b *testing.B) {
+	m := benchModel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewSampler(m)
+	}
+}
+
+// BenchmarkSampleWindows times the world kernel's unit of work: one
+// object's 256-world chunk over a 10-tic window straddling an
+// observation.
+func BenchmarkSampleWindows(b *testing.B) {
+	s := NewSampler(benchModel(b))
+	const n, ts, te = 256, 25, 34
+	dst := make([]int32, n*(te-ts+1))
+	var sc WalkScratch
+	rng := mcrand.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SampleWindowsInto(&rng, ts, te, n, dst, &sc)
 	}
 }
 

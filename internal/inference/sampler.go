@@ -18,27 +18,13 @@ import (
 // goroutine supplies its own generator.
 type Sampler struct {
 	model *Model
-	// alias[t-start] holds, aligned with the flat adapted matrix F(t), the
-	// Walker alias tables of every row plus cached successor-row indices,
-	// so drawing a transition is one table lookup and one comparison —
-	// no binary search anywhere in the walk.
-	alias []rowAlias
-	// postCum[t-start] and postAlias[t-start] are the posterior marginal
-	// at t in cumulative and alias form, used to draw the entry state of
-	// window-restricted samples (cumulative for the math/rand path, alias
-	// for the columnar mcrand kernel).
-	postCum   []cumDist
-	postAlias []aliasDist
-}
-
-type cumDist struct {
-	states []int32
-	// rowOf[k] is the row index of states[k] in the transition matrix
-	// leaving this timestep, or -1 at the model end (no transition
-	// follows). Carrying it through the walk removes the per-step
-	// row lookup.
-	rowOf []int32
-	cum   []float64 // strictly increasing, last element ~1
+	// steps[t-start] is the fused alias table of F(t), aligned with the
+	// flat adapted matrix: drawing a transition is one entry load and
+	// one comparison — no binary search anywhere in the walk.
+	steps [][]aliasEntry
+	// post[t-start] is the posterior marginal at t, used to draw the
+	// entry state of window-restricted samples.
+	post []entryDist
 }
 
 // NewSampler precomputes alias tables and entry distributions from the
@@ -48,113 +34,87 @@ type cumDist struct {
 func NewSampler(m *Model) *Sampler {
 	n := m.end - m.start
 	s := &Sampler{
-		model:     m,
-		alias:     make([]rowAlias, n),
-		postCum:   make([]cumDist, n+1),
-		postAlias: make([]aliasDist, n+1),
+		model: m,
+		steps: make([][]aliasEntry, n),
+		post:  make([]entryDist, n+1),
 	}
 	sc := &aliasScratch{}
 	// Walk time backwards: when the loop reaches t, the scratch still
 	// indexes F(t+1) from the previous iteration — exactly the lookup
-	// the t → t+1 tables need for their next-row cache (empty at
+	// the t → t+1 tables need for their next-row spans (empty at
 	// t == end-1, where no matrix leaves the final timestep).
 	for t := m.end; t >= m.start; t-- {
 		if t < m.end {
-			s.alias[t-m.start] = buildRowAlias(m.transitionAdj(t), sc)
+			s.steps[t-m.start] = buildStepTable(m.transitionAdj(t), m.transitionAdj(t+1), sc)
 		}
 		sc.index(m.transitionAdj(t)) // nil at t == end: de-indexes
-		cd := cumOf(m.Posterior(t), sc)
-		s.postCum[t-m.start] = cd
-		s.postAlias[t-m.start] = aliasOf(cd, sc)
+		s.post[t-m.start] = entryOf(m.Posterior(t), m.transitionAdj(t), sc)
 	}
 	return s
 }
 
-// stepRow draws the successor of the state at row index `row` of F(t)
-// from one 64-bit uniform draw, returning the successor state and its
-// row index in F(t+1) (-1 when t+1 is the model end).
-func (s *Sampler) stepRow(t, row int, u uint64) (int32, int) {
-	a := s.model.f[t-s.model.start]
-	ra := &s.alias[t-s.model.start]
-	lo, hi := int(a.off[row]), int(a.off[row+1])
-	slot, frac := aliasPick(u, hi-lo)
-	k := lo + slot
-	if frac >= ra.prob[k] {
-		k = int(ra.alias[k])
-	}
-	return a.dst[k], int(ra.next[k])
+// step draws the successor of the state whose row in F(t) spans
+// [lo, lo+n) from one 64-bit uniform draw, returning the successor
+// state and its row span in F(t+1) (n == 0 when t+1 is the model end).
+func (s *Sampler) step(t int, lo, n int32, u uint64) (int32, int32, int32) {
+	ents := s.steps[t-s.model.start]
+	k := pick(ents, lo, n, u)
+	return s.model.f[t-s.model.start].dst[k], ents[k].nextLo, ents[k].nextN
 }
 
 func noSuccessors(cur int32, t int) string {
 	return fmt.Sprintf("inference: state %d at t=%d has no adapted successors", cur, t)
 }
 
-// cumOf builds the cumulative form of a posterior marginal, caching
-// each state's row index in the timestep's outgoing transition matrix
-// through the scratch lookup (which must index that matrix; -1
-// everywhere at the model end, where no matrix follows).
-func cumOf(v sparse.Vec, sc *aliasScratch) cumDist {
+// entryOf builds both draw forms of a posterior marginal, caching each
+// state's row span in a, the timestep's outgoing transition matrix,
+// through the scratch lookup (which must index a; nil at the model
+// end, where no matrix follows).
+func entryOf(v sparse.Vec, a *adj, sc *aliasScratch) entryDist {
 	ents := v.Entries()
-	cd := cumDist{
+	d := entryDist{
 		states: make([]int32, len(ents)),
-		rowOf:  make([]int32, len(ents)),
 		cum:    make([]float64, len(ents)),
+		ents:   make([]aliasEntry, len(ents)),
 	}
-	acc := 0.0
+	w := make([]float64, len(ents))
+	acc, prev := 0.0, 0.0
 	for k, e := range ents {
 		acc += e.Val
-		cd.states[k] = int32(e.Idx)
-		cd.cum[k] = acc
-		cd.rowOf[k] = sc.lookup(int32(e.Idx))
+		d.states[k] = int32(e.Idx)
+		d.cum[k] = acc
+		w[k] = acc - prev
+		prev = acc
 	}
-	return cd
-}
-
-// aliasOf converts a cumulative entry distribution to alias form. The
-// state and row slices are shared with cd (both are read-only).
-func aliasOf(cd cumDist, sc *aliasScratch) aliasDist {
-	n := len(cd.states)
-	d := aliasDist{
-		states: cd.states,
-		rowOf:  cd.rowOf,
-		prob:   make([]float64, n),
-		alias:  make([]int32, n),
+	buildAliasRange(w, d.ents, 0, sc)
+	for k, st := range d.states {
+		d.ents[k].nextLo, d.ents[k].nextN = rowSpan(a, sc.lookup(st))
 	}
-	w := make([]float64, n)
-	prev := 0.0
-	for k, c := range cd.cum {
-		w[k] = c - prev
-		prev = c
-	}
-	buildAliasRange(w, d.prob, d.alias, 0, sc)
 	return d
 }
 
-// draw returns the slot index of one sample of the distribution.
-func (cd cumDist) draw(rng *rand.Rand) int {
-	return cd.drawAt(rng.Float64() * cd.cum[len(cd.cum)-1])
+// drawCum returns the slot index of one sample of the distribution
+// from its cumulative form.
+func (d *entryDist) drawCum(rng *rand.Rand) int {
+	return d.drawAt(rng.Float64() * d.cum[len(d.cum)-1])
 }
 
 // drawAt resolves a uniform draw u ∈ [0, total) to its slot. Floating-
 // point overshoot — u computed as fraction×total can round to a value
 // that SearchFloat64s places past the final cumulative entry — clamps
-// to the last slot, mirroring the transition-step clamp the cumulative
-// sampler always had.
-func (cd cumDist) drawAt(u float64) int {
-	k := sort.SearchFloat64s(cd.cum, u)
-	if k == len(cd.cum) {
+// to the last slot.
+func (d *entryDist) drawAt(u float64) int {
+	k := sort.SearchFloat64s(d.cum, u)
+	if k == len(d.cum) {
 		k--
 	}
 	return k
 }
 
-// draw returns the slot index of one sample of the distribution.
-func (d *aliasDist) draw(rng *mcrand.RNG) int {
-	slot, frac := aliasPick(rng.Uint64(), len(d.prob))
-	if frac >= d.prob[slot] {
-		slot = int(d.alias[slot])
-	}
-	return slot
+// drawAlias returns the slot index of one sample of the distribution
+// from one 64-bit draw through its fused alias form.
+func (d *entryDist) drawAlias(u uint64) int32 {
+	return pick(d.ents, 0, int32(len(d.ents)), u)
 }
 
 // SampleWindow draws the object's trajectory restricted to [ts, te] ∩
@@ -178,61 +138,142 @@ func (s *Sampler) SampleWindow(rng *rand.Rand, ts, te int) (uncertain.Path, bool
 		return uncertain.Path{}, false
 	}
 	states := make([]int32, te-ts+1)
-	cd := &s.postCum[ts-m.start]
-	k := cd.draw(rng)
-	cur, row := cd.states[k], int(cd.rowOf[k])
+	ed := &s.post[ts-m.start]
+	k := ed.drawCum(rng)
+	cur, lo, n := ed.states[k], ed.ents[k].nextLo, ed.ents[k].nextN
 	states[0] = cur
 	for t := ts; t < te; t++ {
-		if row < 0 {
+		if n == 0 {
 			panic(noSuccessors(cur, t))
 		}
-		cur, row = s.stepRow(t, row, rng.Uint64())
+		cur, lo, n = s.step(t, lo, n, rng.Uint64())
 		states[t-ts+1] = cur
 	}
 	return uncertain.Path{Start: ts, States: states}, true
+}
+
+// clip intersects [ts, te] with the object's lifetime; ok is false when
+// they are disjoint.
+func (s *Sampler) clip(ts, te int) (cs, ce int, ok bool) {
+	cs, ce = max(ts, s.model.start), min(te, s.model.end)
+	return cs, ce, ce >= cs
 }
 
 // SampleWindowInto is the columnar twin of SampleWindow: it draws the
 // trajectory over [ts, te] directly into dst, which must have length
 // te-ts+1. dst[t-ts] receives the state at t, or -1 ("dead") where t
 // falls outside the object's lifetime, the encoding nn.WorldBatch maps
-// to an infinite distance. No allocation, one alias-table lookup per
-// transition, an inlineable generator: this is the innermost call of
-// the Monte-Carlo world-sampling kernel. ok is false when the window
-// does not intersect the lifetime at all (dst is then all -1).
+// to an infinite distance. It consumes 1+L draws of rng for a window
+// clipped to L transitions — the entry draw, then one per step — and
+// none when the window does not intersect the lifetime (ok is false and
+// dst is all -1). It is the one-world reference of SampleWindowsInto.
 func (s *Sampler) SampleWindowInto(rng *mcrand.RNG, ts, te int, dst []int32) bool {
 	m := s.model
-	cs, ce := ts, te
-	if cs < m.start {
-		cs = m.start
-	}
-	if ce > m.end {
-		ce = m.end
-	}
-	if ce < cs {
-		for i := range dst {
-			dst[i] = -1
-		}
+	cs, ce, ok := s.clip(ts, te)
+	if !ok {
+		fillDead(dst)
 		return false
 	}
-	for i := 0; i < cs-ts; i++ {
-		dst[i] = -1
-	}
-	for i := ce - ts + 1; i < len(dst); i++ {
-		dst[i] = -1
-	}
-	ad := &s.postAlias[cs-m.start]
-	k := ad.draw(rng)
-	cur, row := ad.states[k], int(ad.rowOf[k])
+	fillDead(dst[:cs-ts])
+	fillDead(dst[ce-ts+1:])
+	ed := &s.post[cs-m.start]
+	k := ed.drawAlias(rng.Uint64())
+	cur, lo, n := ed.states[k], ed.ents[k].nextLo, ed.ents[k].nextN
 	dst[cs-ts] = cur
 	for t := cs; t < ce; t++ {
-		if row < 0 {
+		if n == 0 {
 			panic(noSuccessors(cur, t))
 		}
-		cur, row = s.stepRow(t, row, rng.Uint64())
+		cur, lo, n = s.step(t, lo, n, rng.Uint64())
 		dst[t-ts+1] = cur
 	}
 	return true
+}
+
+// WalkScratch is the reusable working memory of SampleWindowsInto: the
+// pre-drawn uniforms and every world's current row span. The zero value
+// is ready to use; one scratch must not be shared between concurrent
+// walks.
+type WalkScratch struct {
+	u     []uint64
+	spans []span
+}
+
+type span struct{ lo, n int32 }
+
+// SampleWindowsInto draws n consecutive worlds of the object over
+// [ts, te] into dst (length at least n·(te-ts+1), world-major: world w
+// occupies dst[w·nT : (w+1)·nT] with nT = te-ts+1), byte-identical to
+// n successive SampleWindowInto calls — same states, same generator
+// state afterwards. It is the innermost call of the Monte-Carlo
+// world-sampling kernel.
+//
+// The determinism contract fixes the draw order: per object, world by
+// world, entry draw first, then one draw per transition. The kernel
+// pre-draws exactly those n·(1+L) uniforms in that order (transposed
+// into time-major storage), then walks all n worlds one timestep at a
+// time, so only one timestep's alias table is hot at a time and the n
+// independent walks overlap their dependent loads. ok is false when the
+// window does not intersect the lifetime (no draws consumed, dst all
+// -1).
+func (s *Sampler) SampleWindowsInto(rng *mcrand.RNG, ts, te, n int, dst []int32, sc *WalkScratch) bool {
+	m := s.model
+	nT := te - ts + 1
+	dst = dst[:n*nT]
+	cs, ce, ok := s.clip(ts, te)
+	if !ok {
+		fillDead(dst)
+		return false
+	}
+	if cs > ts || ce < te {
+		for w := 0; w < n; w++ {
+			fillDead(dst[w*nT : w*nT+cs-ts])
+			fillDead(dst[w*nT+ce-ts+1 : (w+1)*nT])
+		}
+	}
+	per := 1 + ce - cs
+	if cap(sc.u) < n*per {
+		sc.u = make([]uint64, n*per)
+	}
+	if cap(sc.spans) < n {
+		sc.spans = make([]span, n)
+	}
+	u, spans := sc.u[:n*per], sc.spans[:n]
+	for w := 0; w < n; w++ {
+		for j := 0; j < per; j++ {
+			u[j*n+w] = rng.Uint64()
+		}
+	}
+	off := cs - ts
+	ed := &s.post[cs-m.start]
+	for w, uw := range u[:n] {
+		k := ed.drawAlias(uw)
+		dst[w*nT+off] = ed.states[k]
+		spans[w] = span{ed.ents[k].nextLo, ed.ents[k].nextN}
+	}
+	for t := cs; t < ce; t++ {
+		ents := s.steps[t-m.start]
+		states := m.f[t-m.start].dst
+		col := t - ts + 1
+		j := t - cs + 1
+		for w, uw := range u[j*n : (j+1)*n] {
+			sp := &spans[w]
+			if sp.n == 0 {
+				panic(noSuccessors(dst[w*nT+col-1], t))
+			}
+			k := pick(ents, sp.lo, sp.n, uw)
+			e := &ents[k]
+			dst[w*nT+col] = states[k]
+			*sp = span{e.nextLo, e.nextN}
+		}
+	}
+	return true
+}
+
+func fillDead(dst []int32) {
+	for i := range dst {
+		dst[i] = -1
+	}
 }
 
 // Model returns the underlying adapted model.
@@ -244,15 +285,15 @@ func (s *Sampler) Sample(rng *rand.Rand) uncertain.Path {
 	states := make([]int32, m.end-m.start+1)
 	cur := int32(m.obj.First().State)
 	states[0] = cur
-	row := -1
+	lo, n := int32(-1), int32(0)
 	if m.end > m.start {
-		row = m.f[0].rowIndex(cur)
+		lo, n = rowSpan(m.f[0], int32(m.f[0].rowIndex(cur)))
 	}
 	for t := m.start; t < m.end; t++ {
-		if row < 0 {
+		if n == 0 {
 			panic(noSuccessors(cur, t))
 		}
-		cur, row = s.stepRow(t, row, rng.Uint64())
+		cur, lo, n = s.step(t, lo, n, rng.Uint64())
 		states[t-m.start+1] = cur
 	}
 	return uncertain.Path{Start: m.start, States: states}

@@ -196,9 +196,8 @@ func TestSamplerSingleObservationModel(t *testing.T) {
 // last slot instead of indexing one past the end, mirroring the
 // long-standing transition-step clamp.
 func TestCumDistDrawClamp(t *testing.T) {
-	cd := cumDist{
+	cd := entryDist{
 		states: []int32{4, 7, 9},
-		rowOf:  []int32{0, 1, 2},
 		cum:    []float64{0.25, 0.5, 0.999999999999}, // FP shortfall: mass ~1 but < 1
 	}
 	last := cd.cum[len(cd.cum)-1]
@@ -223,7 +222,7 @@ func TestCumDistDrawClamp(t *testing.T) {
 	// ever leaving the support.
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
-		if k := cd.draw(rng); k < 0 || k >= len(cd.states) {
+		if k := cd.drawCum(rng); k < 0 || k >= len(cd.states) {
 			t.Fatalf("draw returned out-of-range slot %d", k)
 		}
 	}

@@ -87,6 +87,14 @@ func (b *WorldBatch) States(oi, w int) []int32 {
 	return b.states[base : base+b.nT]
 }
 
+// Columns returns the state columns of object oi in every world of
+// the batch: world w's column is Columns(oi)[w*nT : (w+1)*nT] with
+// nT = Te-Ts+1, the world-major block the sampling kernel fills in one
+// call.
+func (b *WorldBatch) Columns(oi int) []int32 {
+	return b.states[oi*b.nW*b.nT : (oi+1)*b.nW*b.nT]
+}
+
 // ComputeDistances fills the whole distance matrix from the state
 // columns: dist = d(q(t), state) via sp, +Inf for dead slots.
 func (b *WorldBatch) ComputeDistances(sp *space.Space, q func(int) geo.Point) {
@@ -134,54 +142,60 @@ func (b *WorldBatch) row(w, t int) []float64 {
 // Dist returns d(q(t), oi(t)) in world w; +Inf when oi is dead at t.
 func (b *WorldBatch) Dist(w, oi, t int) float64 { return b.row(w, t)[oi] }
 
-// IsKNNAt reports whether object oi ranks among the k nearest
-// neighbors of q at time t in world w: alive, with fewer than k other
-// objects strictly closer (ties included, per Definition 1).
-func (b *WorldBatch) IsKNNAt(w, oi, t, k int) bool {
-	row := b.row(w, t)
-	d := row[oi]
-	if math.IsInf(d, 1) {
-		return false
+// KthDists fills dst (length Te-Ts+1) with the k-th smallest distance
+// of every timestep's row in world w — +Inf when fewer than k objects
+// are alive there. It is the O(objects) fold behind every k-NN
+// predicate: object oi is among the k nearest at t — alive, with fewer
+// than k others strictly closer (ties included, per Definition 1) —
+// exactly when InKNN(Dist(w, oi, t), dst[t-Ts]) holds, because fewer
+// than k distances lie strictly below d iff the k-th smallest is at
+// least d. One pass per row replaces a rescan of the row per object.
+func (b *WorldBatch) KthDists(w, k int, dst []float64) {
+	var stack [16]float64
+	buf := stack[:0]
+	if k > len(stack) {
+		buf = make([]float64, 0, k)
 	}
-	closer := 0
-	for j, dj := range row {
-		if j != oi && dj < d {
-			closer++
-			if closer >= k {
-				return false
+	for ti := range dst[:b.nT] {
+		dst[ti] = kthSmallest(b.row(w, b.Ts+ti), k, buf)
+	}
+}
+
+// InKNN reports whether an object at distance d is among the k nearest
+// of a row whose k-th smallest distance is kth (see KthDists): alive
+// (finite d) and not beyond the k-th.
+func InKNN(d, kth float64) bool { return d <= kth && !math.IsInf(d, 1) }
+
+// kthSmallest returns the k-th smallest value of row (+Inf when k
+// exceeds its length), keeping the k smallest seen so far sorted in
+// buf (capacity >= k).
+func kthSmallest(row []float64, k int, buf []float64) float64 {
+	if k > len(row) {
+		return math.Inf(1)
+	}
+	if k == 1 {
+		m := row[0]
+		for _, d := range row[1:] {
+			if d < m {
+				m = d
 			}
 		}
+		return m
 	}
-	return true
-}
-
-// KNNThroughout reports whether oi is among the k nearest at every
-// timestep of the window in world w (the ∀ event of Definition 2).
-func (b *WorldBatch) KNNThroughout(w, oi, k int) bool {
-	for t := b.Ts; t <= b.Te; t++ {
-		if !b.IsKNNAt(w, oi, t, k) {
-			return false
+	buf = buf[:0]
+	for _, d := range row {
+		if len(buf) == k {
+			if d >= buf[k-1] {
+				continue
+			}
+			buf = buf[:k-1]
 		}
-	}
-	return true
-}
-
-// KNNSometime reports whether oi is among the k nearest at one or more
-// timesteps of the window in world w (the ∃ event of Definition 1).
-func (b *WorldBatch) KNNSometime(w, oi, k int) bool {
-	for t := b.Ts; t <= b.Te; t++ {
-		if b.IsKNNAt(w, oi, t, k) {
-			return true
+		i := len(buf)
+		buf = append(buf, d)
+		for ; i > 0 && buf[i-1] > d; i-- {
+			buf[i] = buf[i-1]
 		}
+		buf[i] = d
 	}
-	return false
-}
-
-// KNNMask fills dst (length Te-Ts+1) with per-timestep k-NN indicators
-// for object oi in world w — the per-world rows the PCNN lattice walk
-// mines.
-func (b *WorldBatch) KNNMask(w, oi, k int, dst []bool) {
-	for t := b.Ts; t <= b.Te; t++ {
-		dst[t-b.Ts] = b.IsKNNAt(w, oi, t, k)
-	}
+	return buf[k-1]
 }

@@ -61,8 +61,8 @@ func TestBatchMatchesWorld(t *testing.T) {
 		}
 		b.ComputeDistances(sp, q)
 
-		mask := make([]bool, nT)
 		refMask := make([]bool, nT)
+		kth := make([]float64, nT)
 		for w := 0; w < nW; w++ {
 			ref := NewWorld(sp, worlds[w], q, ts, te)
 			for oi := 0; oi < nObj; oi++ {
@@ -71,31 +71,55 @@ func TestBatchMatchesWorld(t *testing.T) {
 					if bd != rd && !(math.IsInf(bd, 1) && math.IsInf(rd, 1)) {
 						t.Fatalf("trial %d world %d: Dist(%d,%d) = %v, want %v", trial, w, oi, tt, bd, rd)
 					}
-					for k := 1; k <= 3; k++ {
-						if got, want := b.IsKNNAt(w, oi, tt, k), ref.IsKNNAt(oi, tt, k); got != want {
-							t.Fatalf("trial %d world %d: IsKNNAt(%d,%d,%d) = %v, want %v", trial, w, oi, tt, k, got, want)
+				}
+			}
+			for k := 1; k <= nObj+1; k++ {
+				b.KthDists(w, k, kth)
+				for oi := 0; oi < nObj; oi++ {
+					ref.KNNMask(oi, k, refMask)
+					for ti, want := range refMask {
+						if got := InKNN(b.Dist(w, oi, ts+ti), kth[ti]); got != want {
+							t.Fatalf("trial %d world %d: InKNN(%d, t=%d, k=%d) = %v, want IsKNNAt %v", trial, w, oi, ts+ti, k, got, want)
 						}
 					}
 				}
-				for k := 1; k <= 3; k++ {
-					wantAll, wantSome := true, false
-					for tt := ts; tt <= te; tt++ {
-						knn := ref.IsKNNAt(oi, tt, k)
-						wantAll = wantAll && knn
-						wantSome = wantSome || knn
-					}
-					if got := b.KNNThroughout(w, oi, k); got != wantAll {
-						t.Fatalf("trial %d world %d: KNNThroughout(%d,%d) = %v, want %v", trial, w, oi, k, got, wantAll)
-					}
-					if got := b.KNNSometime(w, oi, k); got != wantSome {
-						t.Fatalf("trial %d world %d: KNNSometime(%d,%d) = %v, want %v", trial, w, oi, k, got, wantSome)
-					}
-					b.KNNMask(w, oi, k, mask)
-					ref.KNNMask(oi, k, refMask)
-					for i := range mask {
-						if mask[i] != refMask[i] {
-							t.Fatalf("trial %d world %d: KNNMask(%d,%d)[%d] = %v, want %v", trial, w, oi, k, i, mask[i], refMask[i])
-						}
+			}
+		}
+	}
+}
+
+// TestKthDistsMatchesIsKNNAt is the fold's property test: on random
+// rows dense with ties (distances drawn from a handful of values) and
+// +Inf dead slots, for k in {1, 2, 3}, k up to the row length (past
+// the 16-entry stack buffer) and k beyond it,
+// "d finite and d <= k-th smallest" must equal the reference predicate
+// "alive with fewer than k others strictly closer" for every object.
+func TestKthDistsMatchesIsKNNAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	inf := math.Inf(1)
+	levels := []float64{0, 1, 1.5, 2, inf}
+	for trial := 0; trial < 500; trial++ {
+		nObj := 1 + rng.Intn(24)
+		nT := 1 + rng.Intn(4)
+		b := WorldBatch{Ts: 3, Te: 3 + nT - 1, nObj: nObj, nW: 1, nT: nT,
+			dist: make([]float64, nT*nObj)}
+		ref := &World{Ts: b.Ts, Te: b.Te, dist: make([][]float64, nT)}
+		for ti := 0; ti < nT; ti++ {
+			row := b.dist[ti*nObj : (ti+1)*nObj]
+			for oi := range row {
+				row[oi] = levels[rng.Intn(len(levels))]
+			}
+			ref.dist[ti] = row
+		}
+		kth := make([]float64, nT)
+		for _, k := range []int{1, 2, 3, nObj, nObj + 1, nObj + 5, 20} {
+			b.KthDists(0, k, kth)
+			for ti := 0; ti < nT; ti++ {
+				for oi := 0; oi < nObj; oi++ {
+					got := InKNN(b.Dist(0, oi, b.Ts+ti), kth[ti])
+					if want := ref.IsKNNAt(oi, b.Ts+ti, k); got != want {
+						t.Fatalf("trial %d k %d row %v: object %d InKNN %v, IsKNNAt %v (kth %v)",
+							trial, k, ref.dist[ti], oi, got, want, kth[ti])
 					}
 				}
 			}

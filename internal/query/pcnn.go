@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -158,21 +159,9 @@ type TimeSet struct {
 // scatter-gather executor produce, which is why the miner is exported:
 // the lattice walk is identical however the worlds were sampled.
 func MineTimeSets(masks [][]bool, li, nT int, tau float64) ([]TimeSet, int, error) {
+	worlds := worldBitsets(masks, li, nT)
 	support := func(items []int) float64 {
-		count := 0
-		for _, row := range masks {
-			ok := true
-			for _, k := range items {
-				if !row[li*nT+k] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				count++
-			}
-		}
-		return float64(count) / float64(len(masks))
+		return float64(supportCount(worlds, items)) / float64(len(masks))
 	}
 
 	// L1 (Algorithm 1, line 1).
@@ -230,6 +219,41 @@ func MineTimeSets(masks [][]bool, li, nT int, tau float64) ([]TimeSet, int, erro
 		}
 	}
 	return out, len(all), nil
+}
+
+// worldBitsets transposes row li of the per-world masks into one world
+// bitset per window offset: bit w of sets[j] is masks[w][li*nT+j]. The
+// lattice walk then counts a set's support by AND + popcount over
+// ⌈worlds/64⌉ words instead of rescanning every world's mask.
+func worldBitsets(masks [][]bool, li, nT int) [][]uint64 {
+	words := (len(masks) + 63) / 64
+	backing := make([]uint64, nT*words)
+	sets := make([][]uint64, nT)
+	for j := range sets {
+		sets[j] = backing[j*words : (j+1)*words]
+	}
+	for w, row := range masks {
+		for j, in := range row[li*nT : (li+1)*nT] {
+			if in {
+				sets[j][w/64] |= 1 << (w % 64)
+			}
+		}
+	}
+	return sets
+}
+
+// supportCount returns the number of worlds in which the object was
+// among the k nearest at every offset of items (non-empty): the
+// popcount of the AND of the items' world bitsets.
+func supportCount(sets [][]uint64, items []int) int {
+	count := 0
+	for wi, word := range sets[items[0]] {
+		for _, k := range items[1:] {
+			word &= sets[k][wi]
+		}
+		count += bits.OnesCount64(word)
+	}
+	return count
 }
 
 // join merges two sorted k-sets sharing their first k-1 elements into a

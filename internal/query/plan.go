@@ -48,6 +48,10 @@ const boundEvery = 4
 // allocation-free.
 var batchPool = sync.Pool{New: func() any { return new(nn.WorldBatch) }}
 
+// walkPool recycles the time-major kernel's scratch (pre-drawn uniforms
+// and per-world row spans) across fill goroutines.
+var walkPool = sync.Pool{New: func() any { return new(inference.WalkScratch) }}
+
 // Evaluator is a per-chunk consumer of sampled possible worlds: the
 // predicate side of one query semantics, decoupled from the sampling
 // loop. Any number of evaluators may be attached to one Plan; each
@@ -83,6 +87,7 @@ type CountEvaluator struct {
 	forall  bool
 	targets []int // sampler-row indices to count
 	partial [][]int
+	kth     [][]float64 // per-worker k-th distance row of the current world
 
 	conf    Confidence
 	taus    []float64 // thresholds the estimates must separate from
@@ -101,20 +106,39 @@ func (c *CountEvaluator) Bind(workers int) {
 	for i := range c.partial {
 		c.partial[i] = make([]int, len(c.targets))
 	}
+	c.kth = make([][]float64, workers)
 }
 
-// World implements Evaluator.
+// World implements Evaluator. Each timestep's k-th distance is computed
+// once per world; every target then tests its own distance against it.
 func (c *CountEvaluator) World(worker, _ int, b *nn.WorldBatch, wi int) {
+	if len(c.targets) == 0 {
+		return
+	}
+	nT := b.Te - b.Ts + 1
+	if cap(c.kth[worker]) < nT {
+		c.kth[worker] = make([]float64, nT)
+	}
+	kth := c.kth[worker][:nT]
+	b.KthDists(wi, c.k, kth)
 	counts := c.partial[worker]
 	for ci, li := range c.targets {
-		if c.forall {
-			if b.KNNThroughout(wi, li, c.k) {
-				counts[ci]++
-			}
-		} else if b.KNNSometime(wi, li, c.k) {
+		if c.holds(b, wi, li, kth) {
 			counts[ci]++
 		}
 	}
+}
+
+// holds evaluates the predicate of row li in world wi against the
+// world's k-th distances: ∀ fails at the first timestep where the row
+// is not among the k nearest, ∃ succeeds at the first where it is.
+func (c *CountEvaluator) holds(b *nn.WorldBatch, wi, li int, kth []float64) bool {
+	for ti, d := range kth {
+		if nn.InKNN(b.Dist(wi, li, b.Ts+ti), d) != c.forall {
+			return !c.forall
+		}
+	}
+	return c.forall
 }
 
 // Counts merges the per-worker accumulators: Counts()[i] is the number
@@ -196,6 +220,7 @@ func (c *CountEvaluator) Bound(worldsSeen int) bool {
 type MaskEvaluator struct {
 	k, rows, nT int
 	masks       [][]bool
+	kth         [][]float64 // per-worker k-th distance row of the current world
 	conf        Confidence
 }
 
@@ -211,13 +236,23 @@ func NewMaskEvaluator(k, rows, nT, samples int) *MaskEvaluator {
 }
 
 // Bind implements Evaluator.
-func (m *MaskEvaluator) Bind(int) {}
+func (m *MaskEvaluator) Bind(workers int) {
+	m.kth = make([][]float64, workers)
+	for i := range m.kth {
+		m.kth[i] = make([]float64, m.nT)
+	}
+}
 
 // World implements Evaluator.
-func (m *MaskEvaluator) World(_, w int, b *nn.WorldBatch, wi int) {
+func (m *MaskEvaluator) World(worker, w int, b *nn.WorldBatch, wi int) {
+	kth := m.kth[worker]
+	b.KthDists(wi, m.k, kth)
 	row := m.masks[w]
 	for li := 0; li < m.rows; li++ {
-		b.KNNMask(wi, li, m.k, row[li*m.nT:(li+1)*m.nT])
+		mask := row[li*m.nT : (li+1)*m.nT]
+		for ti, d := range kth {
+			mask[ti] = nn.InKNN(b.Dist(wi, li, b.Ts+ti), d)
+		}
 	}
 }
 
@@ -564,13 +599,15 @@ func executeBudgetSplitAdaptive(p *Plan, maxN int) int {
 }
 
 // budgetChunk draws `worlds` possible worlds in columnar chunks from
-// rng (rows filled in row-major order within each chunk — the draw
-// order the determinism contract fixes) and feeds them to every
-// evaluator under the given worker id, with global world indices
-// starting at `start`.
+// rng (rows filled in row-major order within each chunk, each row's
+// worlds in world order — the draw order the determinism contract
+// fixes) and feeds them to every evaluator under the given worker id,
+// with global world indices starting at `start`.
 func budgetChunk(p *Plan, worker, start, worlds int, rng *mcrand.RNG) {
 	b := batchPool.Get().(*nn.WorldBatch)
 	defer batchPool.Put(b)
+	sc := walkPool.Get().(*inference.WalkScratch)
+	defer walkPool.Put(sc)
 	for w0 := 0; w0 < worlds; w0 += worldChunk {
 		cn := worldChunk
 		if left := worlds - w0; left < cn {
@@ -578,9 +615,7 @@ func budgetChunk(p *Plan, worker, start, worlds int, rng *mcrand.RNG) {
 		}
 		b.Reset(len(p.Samplers), cn, p.Ts, p.Te)
 		for li, s := range p.Samplers {
-			for w := 0; w < cn; w++ {
-				s.SampleWindowInto(rng, p.Ts, p.Te, b.States(li, w))
-			}
+			s.SampleWindowsInto(rng, p.Ts, p.Te, cn, b.Columns(li), sc)
 		}
 		b.ComputeDistances(p.Space, p.Query.At)
 		for w := 0; w < cn; w++ {
@@ -635,6 +670,8 @@ func executePerRow(p *Plan, maxN int, adaptive bool) int {
 			wg.Add(1)
 			go func(rows []int) {
 				defer wg.Done()
+				sc := walkPool.Get().(*inference.WalkScratch)
+				defer walkPool.Put(sc)
 				for _, li := range rows {
 					if p.Replay != nil {
 						// Replayed rows copy the pre-drawn columns at the
@@ -646,11 +683,7 @@ func executePerRow(p *Plan, maxN int, adaptive bool) int {
 						}
 						continue
 					}
-					s := p.Samplers[li]
-					rng := &p.RowRngs[li]
-					for w := 0; w < cn; w++ {
-						s.SampleWindowInto(rng, p.Ts, p.Te, b.States(li, w))
-					}
+					p.Samplers[li].SampleWindowsInto(&p.RowRngs[li], p.Ts, p.Te, cn, b.Columns(li), sc)
 				}
 			}(rows)
 		}

@@ -485,6 +485,56 @@ func TestClusterSubscription(t *testing.T) {
 	}
 }
 
+// TestClusterSubscriptionGroupSharesResponse is the router-side twin of
+// the facade's shared-answer contract: the coordinator's standing-group
+// evaluator hands members with the same (semantics, tau) one immutable
+// Response, so their events share the Results backing array.
+func TestClusterSubscriptionGroupSharesResponse(t *testing.T) {
+	rig := newClusterRig(t, 1)
+	center := rig.net.NearestState(pnn.Point{X: 0.5, Y: 0.5})
+	req := pnn.Request{Semantics: pnn.Exists, Query: pnn.AtState(rig.net, center), Ts: 1, Te: 6, Tau: 0.05, Seed: 11}
+	var subs []*pnn.Subscription
+	for i := 0; i < 3; i++ {
+		s, err := rig.coord.Subscribe(req, pnn.Delivery{QueueCap: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, s)
+	}
+	if _, err := rig.coord.AddObject(300, []pnn.Observation{{T: 0, State: center}, {T: 8, State: center}}); err != nil {
+		t.Fatal(err)
+	}
+	if !rig.coord.WaitSubscriptionsIdle(10 * time.Second) {
+		t.Fatal("subscriptions did not quiesce after AddObject")
+	}
+	var resps []pnn.Response
+	for i, s := range subs {
+		var last *pnn.SubEvent
+		for drained := false; !drained; {
+			select {
+			case e := <-s.Events():
+				last = &e
+			default:
+				drained = true
+			}
+		}
+		if last == nil || last.Version < 2 {
+			t.Fatalf("member %d: no re-evaluation event after the write", i)
+		}
+		r := last.Payload.(pnn.Response)
+		if r.Err != nil || r.Stats.GroupSize != len(subs) || len(r.Results) == 0 {
+			t.Fatalf("member %d: err %v, group size %d, %d results; want one group of %d with answers",
+				i, r.Err, r.Stats.GroupSize, len(r.Results), len(subs))
+		}
+		resps = append(resps, r)
+	}
+	for i := 1; i < len(resps); i++ {
+		if &resps[i].Results[0] != &resps[0].Results[0] {
+			t.Errorf("member %d: Results not shared with member 0", i)
+		}
+	}
+}
+
 // TestScatterGzipNegotiation pins the /internal/scatter transport
 // contract: a caller advertising gzip gets a Content-Encoding: gzip
 // body measurably smaller than the identity payload, and it inflates

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"time"
 
+	"pnn/internal/inference"
 	"pnn/internal/mcrand"
+	"pnn/internal/nn"
 )
 
 // ScatterRow is one influencer of a remote scatter: the object's stable
@@ -104,12 +106,14 @@ func (s *Snap) Scatter(spec GroupSpec) (*ScatterResult, error) {
 		wg.Add(1)
 		go func(group []int) {
 			defer wg.Done()
+			var sc inference.WalkScratch
 			for _, ei := range group {
 				e := x.entries[ei]
 				col := make([]int32, maxN*nT)
 				rng := mcrand.New(mcrand.SubSeed(spec.Seed, e.id))
-				for w := 0; w < maxN; w++ {
-					e.smp.SampleWindowInto(&rng, spec.Ts, spec.Te, col[w*nT:(w+1)*nT])
+				for w0 := 0; w0 < maxN; w0 += nn.WorldChunk {
+					cn := min(nn.WorldChunk, maxN-w0)
+					e.smp.SampleWindowsInto(&rng, spec.Ts, spec.Te, cn, col[w0*nT:], &sc)
 				}
 				res.Rows[ei] = ScatterRow{ID: e.id, States: col}
 			}

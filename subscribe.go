@@ -18,7 +18,10 @@ type Delivery = sub.Delivery
 
 // SubEvent is one delivered subscription result. Payload, when the
 // event is not a terminal Bye, is a Response evaluated at
-// SubEvent.Version.
+// SubEvent.Version. The Response is read-only: the members of one
+// standing group that share (semantics, tau) receive the same Response,
+// backing arrays included, so editing it in place would change what
+// every one of them sees.
 type SubEvent = sub.Event
 
 // Subscription is one standing query; consume results from Events().
@@ -266,7 +269,15 @@ func runStandingGroup(snap *shard.Snap, reqs []Request, state any) (evals []sub.
 	}
 	region := &influenceRegion{q: spec.Q, ts: spec.Ts, te: spec.Te, bound: inf.PruneDist}
 	vi := versionOf(snap)
+	shared := make(map[shard.GroupItem]sub.Eval, len(items))
 	for i, a := range answers {
+		// Members with the same (op, tau) have the same answer: they
+		// share one immutable Response (see SubEvent) instead of each
+		// queueing a converted copy of its own.
+		if ev, ok := shared[items[i]]; ok {
+			evals[i] = ev
+			continue
+		}
 		resp := Response{Stats: stats, Version: vi, Err: a.Err}
 		if a.Err == nil {
 			switch items[i].Op {
@@ -291,6 +302,7 @@ func runStandingGroup(snap *shard.Snap, reqs []Request, state any) (evals []sub.
 			ev.Region = region
 		}
 		evals[i] = ev
+		shared[items[i]] = ev
 	}
 	return evals, newState
 }

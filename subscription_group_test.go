@@ -190,3 +190,57 @@ func TestSubscriptionGroupingReducesEvaluations(t *testing.T) {
 	}
 	proc.CloseSubscriptions()
 }
+
+// TestSubscriptionGroupSharesResponse pins the memory contract of
+// grouped re-evaluation: members of one standing group asking the same
+// (semantics, tau) receive one immutable Response — their events share
+// the Results backing array — instead of one converted copy each.
+func TestSubscriptionGroupSharesResponse(t *testing.T) {
+	net, db, err := SyntheticDataset(500, 8, 60, 80, 100, 5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := RandomQueryState(net, 3)
+	proc, err := db.BuildSharded(500, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Semantics: Exists, Query: AtState(net, qs), Ts: 40, Te: 47, Tau: 0.05, Seed: 7}
+	other := req
+	other.Tau = 0.5
+	var subs []*Subscription
+	for _, r := range []Request{req, req, req, other} {
+		s, err := proc.Subscribe(r, Delivery{QueueCap: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, s)
+	}
+	for _, s := range subs {
+		drainLatest(t, s)
+	}
+	if _, err := proc.AddObject(20000, []Observation{{T: 42, State: qs}}); err != nil {
+		t.Fatal(err)
+	}
+	if !proc.WaitSubscriptionsIdle(10 * time.Second) {
+		t.Fatal("subscriptions did not quiesce after AddObject")
+	}
+	var resps []Response
+	for _, s := range subs {
+		resps = append(resps, drainLatest(t, s).Payload.(Response))
+	}
+	for i, r := range resps {
+		if r.Err != nil || r.Stats.GroupSize != len(subs) || len(r.Results) == 0 {
+			t.Fatalf("member %d: err %v, group size %d, %d results; want one group of %d with answers",
+				i, r.Err, r.Stats.GroupSize, len(r.Results), len(subs))
+		}
+	}
+	for i := 1; i < 3; i++ {
+		if &resps[i].Results[0] != &resps[0].Results[0] {
+			t.Errorf("member %d: Results not shared with member 0 (same op and tau)", i)
+		}
+	}
+	if &resps[3].Results[0] == &resps[0].Results[0] {
+		t.Error("a member with a different tau shares member 0's Results")
+	}
+}
