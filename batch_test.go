@@ -119,6 +119,28 @@ func TestRunBatchMatchesSingleQueries(t *testing.T) {
 	sameResponses(t, batch, want)
 }
 
+// TestRunHugeK checks that a k far beyond the object count — which
+// request validation admits, since it only rejects k < 1 — answers like
+// k = |D| (every alive object qualifies) for every semantics instead of
+// sizing any buffer by k.
+func TestRunHugeK(t *testing.T) {
+	_, proc, q := batchDB(t, 300)
+	for _, sem := range []Semantics{ForAll, Exists, Continuous} {
+		req := Request{Semantics: sem, Query: q, Ts: 1, Te: 4, Tau: 0.3, Seed: 7}
+		req.K = 4 // every object of batchDB
+		want := proc.Run(req)
+		req.K = 1 << 40
+		got := proc.Run(req)
+		if got.Err != nil || want.Err != nil {
+			t.Fatalf("%s: errors %v / %v", sem, got.Err, want.Err)
+		}
+		if len(want.Results)+len(want.Intervals) == 0 {
+			t.Fatalf("%s: k = |D| answered nothing", sem)
+		}
+		sameResponses(t, []Response{got}, []Response{want})
+	}
+}
+
 // TestBatchWrappers checks the convenience wrappers seed request i with
 // baseSeed+i.
 func TestBatchWrappers(t *testing.T) {

@@ -15,12 +15,18 @@
 // fails, no percent involved); benchmarks without allocation data on
 // either side (pre-ReportAllocs baselines) are gated on ns/op alone.
 //
-// ns/op is only comparable between runs on the same machine shape, so
+// Nothing is comparable between runs of different machine shapes, so
 // when the two files disagree on goos/goarch/GOMAXPROCS/Go version (or
 // the shard configuration recorded by benchjson -shards) the gate
-// prints the table, warns, and exits 0 — refresh BENCH_baseline.json
-// from a CI bench-gate artifact to arm the gate for that shape.
-// -gate-anyway overrides the guard for local experiments.
+// prints the table, warns, and exits 0. Timings — ns/op and timed
+// custom units such as ms/write or MB/s — are further only comparable
+// on the same CPU model: when the shapes match but the CPUs differ (or
+// the baseline recorded none), the gate keeps allocs/op and count
+// units such as evals/write, which do not depend on the hardware, and
+// reports the timing rows without gating them. Commit a CI bench-gate
+// artifact as BENCH_baseline.json to arm the timing gate for the
+// runner's CPU. -gate-anyway overrides both guards for local
+// experiments.
 //
 // Usage:
 //
@@ -64,11 +70,41 @@ type File struct {
 	GoArch     string   `json:"goarch"`
 	GoMaxProcs int      `json:"gomaxprocs"`
 	Shards     int      `json:"shards,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
 	Results    []Result `json:"results"`
 }
 
 func (f *File) shape() string {
 	return fmt.Sprintf("%s/%s procs=%d shards=%d %s", f.GoOS, f.GoArch, f.GoMaxProcs, f.Shards, f.GoVersion)
+}
+
+// timedUnit reports whether a custom metric unit measures time — a
+// duration per something ("ms/write") or a rate ("MB/s") — and so is
+// only comparable on the same CPU, unlike counts such as "evals/write".
+func timedUnit(unit string) bool {
+	if strings.HasSuffix(unit, "/s") {
+		return true
+	}
+	for _, p := range []string{"ns/", "us/", "µs/", "ms/", "s/"} {
+		if strings.HasPrefix(unit, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// untimed withdraws the timing verdicts of rows — ns/op and timed
+// custom units — leaving the allocation and count gates, for runs on
+// different CPUs.
+func untimed(rows []Row) {
+	for i := range rows {
+		rows[i].Regression = false
+		for j := range rows[i].Extras {
+			if timedUnit(rows[i].Extras[j].Unit) {
+				rows[i].Extras[j].Regression = false
+			}
+		}
+	}
 }
 
 // ExtraDelta is one custom-metric comparison of a shared benchmark.
@@ -264,7 +300,7 @@ func main() {
 		maxRegress      = flag.Float64("max-regress", 25, "max allowed ns/op growth in percent for any shared benchmark")
 		maxAllocRegress = flag.Float64("max-allocs-regress", 25, "max allowed allocs/op growth in percent for any shared benchmark with allocation data on both sides")
 		outPath         = flag.String("out", "", "also write the markdown diff table to this file")
-		gateAnyway      = flag.Bool("gate-anyway", false, "enforce the gate even when the machine shapes differ")
+		gateAnyway      = flag.Bool("gate-anyway", false, "enforce the whole gate even when the machine shapes or CPU models differ")
 	)
 	flag.Parse()
 	if *curPath == "" {
@@ -281,6 +317,14 @@ func main() {
 	}
 
 	rows := diff(base, cur, *maxRegress, *maxAllocRegress)
+	sameShape := base.shape() == cur.shape() || *gateAnyway
+	if sameShape && (base.CPU == "" || base.CPU != cur.CPU) && !*gateAnyway {
+		fmt.Fprintf(os.Stderr,
+			"benchdiff: WARNING CPU models differ (baseline %q vs current %q); timings are not comparable, "+
+				"gating allocs/op and count metrics only — commit this run's summary as the baseline to gate timings\n",
+			base.CPU, cur.CPU)
+		untimed(rows)
+	}
 	md := table(rows)
 	fmt.Print(md)
 	if *outPath != "" {
@@ -312,13 +356,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchdiff: %d shared, %d regressed (thresholds ns/op %+.0f%%, allocs/op %+.0f%%)\n",
 		shared, len(regressed), *maxRegress, *maxAllocRegress)
 
-	if base.shape() != cur.shape() && !*gateAnyway {
-		fmt.Fprintf(os.Stderr,
-			"benchdiff: WARNING machine shapes differ (baseline %s vs current %s); "+
-				"ns/op is not comparable, gate skipped — refresh the baseline from a CI artifact\n",
-			base.shape(), cur.shape())
-		return
-	}
 	if len(regressed) > 0 {
 		for _, r := range regressed {
 			if r.Regression {

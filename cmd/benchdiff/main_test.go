@@ -221,3 +221,37 @@ func TestDiffRateMetricsHigherIsBetter(t *testing.T) {
 		}
 	}
 }
+
+// TestUntimedKeepsHardwareIndependentGates pins what a CPU mismatch
+// withdraws: ns/op and timed custom units (durations, rates) stop
+// gating, while allocs/op and count units keep gating.
+func TestUntimedKeepsHardwareIndependentGates(t *testing.T) {
+	base := mkFile(1, Result{Package: "p", Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: fp(10),
+		Extra: map[string]float64{"MB/s": 4, "ms/write": 10, "evals/write": 1}})
+	cur := mkFile(1, Result{Package: "p", Name: "BenchmarkA", NsPerOp: 200, AllocsPerOp: fp(20),
+		Extra: map[string]float64{"MB/s": 2, "ms/write": 20, "evals/write": 2}})
+	rows := diff(base, cur, 25, 25)
+	untimed(rows)
+	r := rows[0]
+	if r.Regression || !r.AllocsRegression || !r.Regressed() {
+		t.Fatalf("ns/op regression %v, allocs regression %v, regressed %v; want false, true, true",
+			r.Regression, r.AllocsRegression, r.Regressed())
+	}
+	want := map[string]bool{"MB/s": false, "ms/write": false, "evals/write": true}
+	for _, e := range r.Extras {
+		if e.Regression != want[e.Unit] {
+			t.Errorf("%s regression = %v after untimed, want %v", e.Unit, e.Regression, want[e.Unit])
+		}
+	}
+}
+
+func TestTimedUnit(t *testing.T) {
+	for unit, want := range map[string]bool{
+		"ms/write": true, "ns/row": true, "s/op": true, "MB/s": true, "ops/s": true,
+		"evals/write": false, "worlds/op": false, "subs": false,
+	} {
+		if got := timedUnit(unit); got != want {
+			t.Errorf("timedUnit(%q) = %v, want %v", unit, got, want)
+		}
+	}
+}

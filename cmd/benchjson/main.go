@@ -56,7 +56,11 @@ type File struct {
 	// (0: repository default). cmd/benchdiff treats it as part of the
 	// machine shape — summaries from different shard configs are not
 	// gated against each other.
-	Shards  int      `json:"shards,omitempty"`
+	Shards int `json:"shards,omitempty"`
+	// CPU is the processor model `go test -bench` reports ("cpu: ..."
+	// header). cmd/benchdiff gates timings only between summaries from
+	// the same model.
+	CPU     string   `json:"cpu,omitempty"`
 	Results []Result `json:"results"`
 }
 
@@ -81,6 +85,9 @@ func main() {
 		Shards:     *shards,
 	}
 	emit := func(pkg, text string) {
+		if cpu, ok := strings.CutPrefix(text, "cpu: "); ok && out.CPU == "" {
+			out.CPU = strings.TrimSpace(cpu)
+		}
 		if r, ok := parseBenchLine(text); ok {
 			r.Package = pkg
 			out.Results = append(out.Results, r)

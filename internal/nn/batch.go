@@ -142,23 +142,44 @@ func (b *WorldBatch) row(w, t int) []float64 {
 // Dist returns d(q(t), oi(t)) in world w; +Inf when oi is dead at t.
 func (b *WorldBatch) Dist(w, oi, t int) float64 { return b.row(w, t)[oi] }
 
-// KthDists fills dst (length Te-Ts+1) with the k-th smallest distance
-// of every timestep's row in world w — +Inf when fewer than k objects
-// are alive there. It is the O(objects) fold behind every k-NN
-// predicate: object oi is among the k nearest at t — alive, with fewer
-// than k others strictly closer (ties included, per Definition 1) —
-// exactly when InKNN(Dist(w, oi, t), dst[t-Ts]) holds, because fewer
-// than k distances lie strictly below d iff the k-th smallest is at
-// least d. One pass per row replaces a rescan of the row per object.
-func (b *WorldBatch) KthDists(w, k int, dst []float64) {
-	var stack [16]float64
-	buf := stack[:0]
-	if k > len(stack) {
-		buf = make([]float64, 0, k)
+// KthScratch is one worker's reusable fold buffers for KthDists: the
+// per-timestep k-th distances of the last call and the k smallest
+// distances seen so far in a row. Both grow to the batch shape on first
+// use — the k-smallest buffer to min(k, objects), never to a
+// client-chosen k — and are reused afterwards, so the fold allocates
+// nothing per world.
+type KthScratch struct {
+	kth, buf []float64
+}
+
+// KthDists returns the k-th smallest distance of every timestep's row
+// in world w (indexed t-Ts, valid until the next call with s) — +Inf
+// when fewer than k objects are alive there. It is the O(objects) fold
+// behind every k-NN predicate: object oi is among the k nearest at t —
+// alive, with fewer than k others strictly closer (ties included, per
+// Definition 1) — exactly when InKNN(Dist(w, oi, t), kth[t-Ts]) holds,
+// because fewer than k distances lie strictly below d iff the k-th
+// smallest is at least d. One pass per row replaces a rescan of the row
+// per object.
+func (b *WorldBatch) KthDists(w, k int, s *KthScratch) []float64 {
+	if cap(s.kth) < b.nT {
+		s.kth = make([]float64, b.nT)
 	}
-	for ti := range dst[:b.nT] {
-		dst[ti] = kthSmallest(b.row(w, b.Ts+ti), k, buf)
+	kth := s.kth[:b.nT]
+	if k > b.nObj {
+		inf := math.Inf(1)
+		for ti := range kth {
+			kth[ti] = inf
+		}
+		return kth
 	}
+	if cap(s.buf) < k {
+		s.buf = make([]float64, 0, k)
+	}
+	for ti := range kth {
+		kth[ti] = kthSmallest(b.row(w, b.Ts+ti), k, s.buf)
+	}
+	return kth
 }
 
 // InKNN reports whether an object at distance d is among the k nearest
@@ -166,13 +187,10 @@ func (b *WorldBatch) KthDists(w, k int, dst []float64) {
 // (finite d) and not beyond the k-th.
 func InKNN(d, kth float64) bool { return d <= kth && !math.IsInf(d, 1) }
 
-// kthSmallest returns the k-th smallest value of row (+Inf when k
-// exceeds its length), keeping the k smallest seen so far sorted in
-// buf (capacity >= k).
+// kthSmallest returns the k-th smallest value of row (1 <= k <=
+// len(row)), keeping the k smallest seen so far sorted in buf
+// (capacity >= k).
 func kthSmallest(row []float64, k int, buf []float64) float64 {
-	if k > len(row) {
-		return math.Inf(1)
-	}
 	if k == 1 {
 		m := row[0]
 		for _, d := range row[1:] {

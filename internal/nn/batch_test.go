@@ -62,7 +62,7 @@ func TestBatchMatchesWorld(t *testing.T) {
 		b.ComputeDistances(sp, q)
 
 		refMask := make([]bool, nT)
-		kth := make([]float64, nT)
+		var fold KthScratch
 		for w := 0; w < nW; w++ {
 			ref := NewWorld(sp, worlds[w], q, ts, te)
 			for oi := 0; oi < nObj; oi++ {
@@ -74,7 +74,7 @@ func TestBatchMatchesWorld(t *testing.T) {
 				}
 			}
 			for k := 1; k <= nObj+1; k++ {
-				b.KthDists(w, k, kth)
+				kth := b.KthDists(w, k, &fold)
 				for oi := 0; oi < nObj; oi++ {
 					ref.KNNMask(oi, k, refMask)
 					for ti, want := range refMask {
@@ -90,8 +90,8 @@ func TestBatchMatchesWorld(t *testing.T) {
 
 // TestKthDistsMatchesIsKNNAt is the fold's property test: on random
 // rows dense with ties (distances drawn from a handful of values) and
-// +Inf dead slots, for k in {1, 2, 3}, k up to the row length (past
-// the 16-entry stack buffer) and k beyond it,
+// +Inf dead slots, for k in {1, 2, 3}, k up to the row length and k
+// beyond it,
 // "d finite and d <= k-th smallest" must equal the reference predicate
 // "alive with fewer than k others strictly closer" for every object.
 func TestKthDistsMatchesIsKNNAt(t *testing.T) {
@@ -111,9 +111,9 @@ func TestKthDistsMatchesIsKNNAt(t *testing.T) {
 			}
 			ref.dist[ti] = row
 		}
-		kth := make([]float64, nT)
+		var fold KthScratch
 		for _, k := range []int{1, 2, 3, nObj, nObj + 1, nObj + 5, 20} {
-			b.KthDists(0, k, kth)
+			kth := b.KthDists(0, k, &fold)
 			for ti := 0; ti < nT; ti++ {
 				for oi := 0; oi < nObj; oi++ {
 					got := InKNN(b.Dist(0, oi, b.Ts+ti), kth[ti])
@@ -124,6 +124,38 @@ func TestKthDistsMatchesIsKNNAt(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKthDistsHugeKAllocatesNothing pins the fold's memory bound: k
+// arrives from the client unchecked above 1, so a k far beyond the row
+// length must answer all +Inf without sizing anything by k, and a warm
+// scratch must make every later call allocation-free.
+func TestKthDistsHugeKAllocatesNothing(t *testing.T) {
+	const nObj, nT = 5, 3
+	b := WorldBatch{Ts: 0, Te: nT - 1, nObj: nObj, nW: 1, nT: nT,
+		dist: make([]float64, nT*nObj)}
+	for i := range b.dist {
+		b.dist[i] = float64(i % 4)
+	}
+	var fold KthScratch
+	for _, k := range []int{1 << 40, 1<<62 + 1} {
+		for ti, d := range b.KthDists(0, k, &fold) {
+			if !math.IsInf(d, 1) {
+				t.Fatalf("k=%d: kth[%d] = %v, want +Inf", k, ti, d)
+			}
+		}
+	}
+	if cap(fold.buf) > nObj {
+		t.Fatalf("k-smallest buffer grew to %d, want at most %d objects", cap(fold.buf), nObj)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, k := range []int{1, 2, nObj, 1 << 40} {
+			b.KthDists(0, k, &fold)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm KthDists allocates %v times per run, want 0", allocs)
 	}
 }
 

@@ -87,7 +87,7 @@ type CountEvaluator struct {
 	forall  bool
 	targets []int // sampler-row indices to count
 	partial [][]int
-	kth     [][]float64 // per-worker k-th distance row of the current world
+	fold    []nn.KthScratch // per-worker k-th distance scratch
 
 	conf    Confidence
 	taus    []float64 // thresholds the estimates must separate from
@@ -106,7 +106,7 @@ func (c *CountEvaluator) Bind(workers int) {
 	for i := range c.partial {
 		c.partial[i] = make([]int, len(c.targets))
 	}
-	c.kth = make([][]float64, workers)
+	c.fold = make([]nn.KthScratch, workers)
 }
 
 // World implements Evaluator. Each timestep's k-th distance is computed
@@ -115,12 +115,7 @@ func (c *CountEvaluator) World(worker, _ int, b *nn.WorldBatch, wi int) {
 	if len(c.targets) == 0 {
 		return
 	}
-	nT := b.Te - b.Ts + 1
-	if cap(c.kth[worker]) < nT {
-		c.kth[worker] = make([]float64, nT)
-	}
-	kth := c.kth[worker][:nT]
-	b.KthDists(wi, c.k, kth)
+	kth := b.KthDists(wi, c.k, &c.fold[worker])
 	counts := c.partial[worker]
 	for ci, li := range c.targets {
 		if c.holds(b, wi, li, kth) {
@@ -220,7 +215,7 @@ func (c *CountEvaluator) Bound(worldsSeen int) bool {
 type MaskEvaluator struct {
 	k, rows, nT int
 	masks       [][]bool
-	kth         [][]float64 // per-worker k-th distance row of the current world
+	fold        []nn.KthScratch // per-worker k-th distance scratch
 	conf        Confidence
 }
 
@@ -237,16 +232,12 @@ func NewMaskEvaluator(k, rows, nT, samples int) *MaskEvaluator {
 
 // Bind implements Evaluator.
 func (m *MaskEvaluator) Bind(workers int) {
-	m.kth = make([][]float64, workers)
-	for i := range m.kth {
-		m.kth[i] = make([]float64, m.nT)
-	}
+	m.fold = make([]nn.KthScratch, workers)
 }
 
 // World implements Evaluator.
 func (m *MaskEvaluator) World(worker, w int, b *nn.WorldBatch, wi int) {
-	kth := m.kth[worker]
-	b.KthDists(wi, m.k, kth)
+	kth := b.KthDists(wi, m.k, &m.fold[worker])
 	row := m.masks[w]
 	for li := 0; li < m.rows; li++ {
 		mask := row[li*m.nT : (li+1)*m.nT]
