@@ -93,6 +93,21 @@ func timedUnit(unit string) bool {
 	return false
 }
 
+// gateMode decides what the gate enforces between two summaries:
+// nothing across machine shapes (armed false), every metric on the
+// same shape and CPU model (timed true), and only the
+// hardware-independent ones otherwise. anyway (-gate-anyway) arms
+// everything.
+func gateMode(base, cur *File, anyway bool) (armed, timed bool) {
+	if anyway {
+		return true, true
+	}
+	if base.shape() != cur.shape() {
+		return false, false
+	}
+	return true, base.CPU != "" && base.CPU == cur.CPU
+}
+
 // untimed withdraws the timing verdicts of rows — ns/op and timed
 // custom units — leaving the allocation and count gates, for runs on
 // different CPUs.
@@ -317,8 +332,8 @@ func main() {
 	}
 
 	rows := diff(base, cur, *maxRegress, *maxAllocRegress)
-	sameShape := base.shape() == cur.shape() || *gateAnyway
-	if sameShape && (base.CPU == "" || base.CPU != cur.CPU) && !*gateAnyway {
+	armed, timed := gateMode(base, cur, *gateAnyway)
+	if armed && !timed {
 		fmt.Fprintf(os.Stderr,
 			"benchdiff: WARNING CPU models differ (baseline %q vs current %q); timings are not comparable, "+
 				"gating allocs/op and count metrics only — commit this run's summary as the baseline to gate timings\n",
@@ -356,6 +371,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchdiff: %d shared, %d regressed (thresholds ns/op %+.0f%%, allocs/op %+.0f%%)\n",
 		shared, len(regressed), *maxRegress, *maxAllocRegress)
 
+	if !armed {
+		fmt.Fprintf(os.Stderr,
+			"benchdiff: WARNING machine shapes differ (baseline %s vs current %s); "+
+				"nothing is comparable, gate skipped — refresh the baseline from a CI artifact\n",
+			base.shape(), cur.shape())
+		return
+	}
 	if len(regressed) > 0 {
 		for _, r := range regressed {
 			if r.Regression {

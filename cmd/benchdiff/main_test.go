@@ -245,6 +245,27 @@ func TestUntimedKeepsHardwareIndependentGates(t *testing.T) {
 	}
 }
 
+func TestGateMode(t *testing.T) {
+	withCPU := func(f *File, cpu string) *File { f.CPU = cpu; return f }
+	for _, tc := range []struct {
+		name         string
+		base, cur    *File
+		anyway       bool
+		armed, timed bool
+	}{
+		{"same shape and CPU", withCPU(mkFile(1), "X"), withCPU(mkFile(1), "X"), false, true, true},
+		{"other CPU", withCPU(mkFile(1), "X"), withCPU(mkFile(1), "Y"), false, true, false},
+		{"baseline without CPU", mkFile(1), withCPU(mkFile(1), "X"), false, true, false},
+		{"other shape", withCPU(mkFile(1), "X"), withCPU(mkFile(2), "X"), false, false, false},
+		{"gate anyway", withCPU(mkFile(1), "X"), withCPU(mkFile(2), "Y"), true, true, true},
+	} {
+		armed, timed := gateMode(tc.base, tc.cur, tc.anyway)
+		if armed != tc.armed || timed != tc.timed {
+			t.Errorf("%s: gateMode = (%v, %v), want (%v, %v)", tc.name, armed, timed, tc.armed, tc.timed)
+		}
+	}
+}
+
 func TestTimedUnit(t *testing.T) {
 	for unit, want := range map[string]bool{
 		"ms/write": true, "ns/row": true, "s/op": true, "MB/s": true, "ops/s": true,
