@@ -171,12 +171,21 @@ func (p *Processor) SetSubscriptionGrouping(enabled bool) { p.subs.SetGrouping(e
 func newProcessor(net *Network, set *shard.Set) *Processor {
 	p := &Processor{net: net, set: set}
 	p.subs = sub.New(sub.Options{
-		Workers:       runtime.GOMAXPROCS(0),
+		Workers:       sweepWorkers(),
 		GroupEval:     p.evalStandingGroup,
 		SweepInterval: DefaultSweepInterval,
 	})
 	return p
 }
+
+// sweepWorkers sizes the standing-query evaluation pool: every CPU but
+// one. Sweeps are background work that one-shot reads and writes on the
+// same process must not queue behind; with the pool as wide as the
+// machine, a sweep holds every CPU while it runs. On 2 vCPUs (AMD EPYC,
+// Go 1.24.0) a two-worker pool put the ingest-subscribed read p50 at
+// ~4.8 ms against ~3.1 ms with one worker, and subscription event lag
+// was no lower with two.
+func sweepWorkers() int { return max(1, runtime.GOMAXPROCS(0)-1) }
 
 // standingState is a compatibility group's carry-over between
 // re-evaluations: the adaptive stop point (worlds drawn) its previous
