@@ -266,7 +266,12 @@ func (c *Coordinator) scatterAll(ctx context.Context, spec shard.GroupSpec) (sha
 				errs[i] = err
 				return
 			}
-			parts[i] = ScatterFromWire(&resp)
+			part, err := ScatterFromWire(&resp, spec.Te-spec.Ts+1)
+			if err != nil {
+				errs[i] = fmt.Errorf("%w: %w", ErrPeerUnavailable, err)
+				return
+			}
+			parts[i] = part
 		}(i, c.clients[name])
 	}
 	wg.Wait()

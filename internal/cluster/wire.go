@@ -17,6 +17,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"time"
 
@@ -61,10 +62,14 @@ type ScatterRequest struct {
 // ScatterRowJSON is one influencer row on the wire. States is the
 // little-endian int32 encoding of the row's pre-drawn state columns
 // (Worlds consecutive windows of Te-Ts+1 states, -1 marking dead
-// timesteps); JSON carries it base64-encoded.
+// timesteps); JSON carries it base64-encoded. DMin and DMax are the
+// row's exact per-timestep distance bounds (Te-Ts+1 entries each), with
+// null for the +Inf of a dead timestep, as in PruneDist.
 type ScatterRowJSON struct {
-	ID     int    `json:"id"`
-	States []byte `json:"states"`
+	ID     int        `json:"id"`
+	States []byte     `json:"states"`
+	DMin   []*float64 `json:"dmin"`
+	DMax   []*float64 `json:"dmax"`
 }
 
 // ScatterResponse is the peer's answer: its shard.ScatterResult in
@@ -166,8 +171,8 @@ func StatesFromWire(b []byte) []int32 {
 	return out
 }
 
-// PruneToWire encodes a pruning threshold vector, mapping +Inf (no
-// constraint) to null.
+// PruneToWire encodes a pruning threshold (or distance bound) vector,
+// mapping +Inf (no constraint, or a dead timestep) to null.
 func PruneToWire(dist []float64) []*float64 {
 	out := make([]*float64, len(dist))
 	for i, d := range dist {
@@ -179,8 +184,8 @@ func PruneToWire(dist []float64) []*float64 {
 	return out
 }
 
-// PruneFromWire decodes a wire threshold vector, mapping null back to
-// +Inf.
+// PruneFromWire decodes a wire threshold (or distance bound) vector,
+// mapping null back to +Inf.
 func PruneFromWire(dist []*float64) []float64 {
 	out := make([]float64, len(dist))
 	for i, d := range dist {
@@ -207,14 +212,36 @@ func ScatterToWire(res *shard.ScatterResult) ScatterResponse {
 		AdaptNanos:    res.AdaptTime.Nanoseconds(),
 	}
 	for i, r := range res.Rows {
-		out.Rows[i] = ScatterRowJSON{ID: r.ID, States: StatesToWire(r.States)}
+		out.Rows[i] = ScatterRowJSON{
+			ID:     r.ID,
+			States: StatesToWire(r.States),
+			DMin:   PruneToWire(r.DMin),
+			DMax:   PruneToWire(r.DMax),
+		}
 	}
 	return out
 }
 
+// WireError reports a malformed row of a scatter response: the row's
+// position and object ID, the offending field, and what is wrong with
+// it. The coordinator treats it like any other peer failure — the
+// gather fails, it never proceeds on a partial or guessed row.
+type WireError struct {
+	Row    int
+	ID     int
+	Field  string
+	Reason string
+}
+
+func (e *WireError) Error() string {
+	return fmt.Sprintf("cluster: scatter row %d (object %d): %s: %s", e.Row, e.ID, e.Field, e.Reason)
+}
+
 // ScatterFromWire converts a wire scatter response back to the shard
-// form the coordinator merges.
-func ScatterFromWire(resp *ScatterResponse) *shard.ScatterResult {
+// form the coordinator merges. nT is the window length Te-Ts+1 of the
+// request; a row whose distance bounds are missing or do not hold
+// exactly nT entries fails with a *WireError.
+func ScatterFromWire(resp *ScatterResponse, nT int) (*shard.ScatterResult, error) {
 	res := &shard.ScatterResult{
 		Version:       resp.Version,
 		Versions:      resp.Versions,
@@ -227,7 +254,20 @@ func ScatterFromWire(resp *ScatterResponse) *shard.ScatterResult {
 	}
 	res.AdaptTime = time.Duration(resp.AdaptNanos)
 	for i, r := range resp.Rows {
-		res.Rows[i] = shard.ScatterRow{ID: r.ID, States: StatesFromWire(r.States)}
+		field, got := "dmin", len(r.DMin)
+		if got == nT {
+			field, got = "dmax", len(r.DMax)
+		}
+		if got != nT {
+			return nil, &WireError{Row: i, ID: r.ID, Field: field,
+				Reason: fmt.Sprintf("%d distance bounds, window has %d timesteps", got, nT)}
+		}
+		res.Rows[i] = shard.ScatterRow{
+			ID:     r.ID,
+			States: StatesFromWire(r.States),
+			DMin:   PruneFromWire(r.DMin),
+			DMax:   PruneFromWire(r.DMax),
+		}
 	}
-	return res
+	return res, nil
 }

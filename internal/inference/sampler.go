@@ -190,12 +190,10 @@ func (s *Sampler) SampleWindowInto(rng *mcrand.RNG, ts, te int, dst []int32) boo
 	return true
 }
 
-// WalkScratch is the reusable working memory of SampleWindowsInto: the
-// pre-drawn uniforms and every world's current row span. The zero value
-// is ready to use; one scratch must not be shared between concurrent
-// walks.
+// WalkScratch is the reusable working memory of SampleWindowsInto:
+// every world's current row span. The zero value is ready to use; one
+// scratch must not be shared between concurrent walks.
 type WalkScratch struct {
-	u     []uint64
 	spans []span
 }
 
@@ -209,13 +207,15 @@ type span struct{ lo, n int32 }
 // world-sampling kernel.
 //
 // The determinism contract fixes the draw order: per object, world by
-// world, entry draw first, then one draw per transition. The kernel
-// pre-draws exactly those n·(1+L) uniforms in that order (transposed
-// into time-major storage), then walks all n worlds one timestep at a
-// time, so only one timestep's alias table is hot at a time and the n
-// independent walks overlap their dependent loads. ok is false when the
-// window does not intersect the lifetime (no draws consumed, dst all
-// -1).
+// world, entry draw first, then one draw per transition, so world w's
+// j-th draw is the generator's draw w·(1+L)+j+1 for a window clipped
+// to L transitions. splitmix64 is a counter (see mcrand.Golden), so the
+// kernel computes each of those uniforms in place from the generator's
+// starting position while it walks all n worlds one timestep at a time
+// — only one timestep's alias table is hot at a time and the n
+// independent walks overlap their dependent loads — and then skips the
+// generator past all n·(1+L) draws. ok is false when the window does
+// not intersect the lifetime (no draws consumed, dst all -1).
 func (s *Sampler) SampleWindowsInto(rng *mcrand.RNG, ts, te, n int, dst []int32, sc *WalkScratch) bool {
 	m := s.model
 	nT := te - ts + 1
@@ -232,22 +232,18 @@ func (s *Sampler) SampleWindowsInto(rng *mcrand.RNG, ts, te, n int, dst []int32,
 		}
 	}
 	per := 1 + ce - cs
-	if cap(sc.u) < n*per {
-		sc.u = make([]uint64, n*per)
-	}
 	if cap(sc.spans) < n {
 		sc.spans = make([]span, n)
 	}
-	u, spans := sc.u[:n*per], sc.spans[:n]
-	for w := 0; w < n; w++ {
-		for j := 0; j < per; j++ {
-			u[j*n+w] = rng.Uint64()
-		}
-	}
+	spans := sc.spans[:n]
+	base := rng.Counter()
+	stride := uint64(per) * mcrand.Golden
 	off := cs - ts
 	ed := &s.post[cs-m.start]
-	for w, uw := range u[:n] {
-		k := ed.drawAlias(uw)
+	x := base + mcrand.Golden
+	for w := range spans {
+		k := ed.drawAlias(mcrand.Mix64(x))
+		x += stride
 		dst[w*nT+off] = ed.states[k]
 		spans[w] = span{ed.ents[k].nextLo, ed.ents[k].nextN}
 	}
@@ -255,19 +251,34 @@ func (s *Sampler) SampleWindowsInto(rng *mcrand.RNG, ts, te, n int, dst []int32,
 		ents := s.steps[t-m.start]
 		states := m.f[t-m.start].dst
 		col := t - ts + 1
-		j := t - cs + 1
-		for w, uw := range u[j*n : (j+1)*n] {
+		x := base + uint64(t-cs+2)*mcrand.Golden
+		for w := range spans {
 			sp := &spans[w]
 			if sp.n == 0 {
 				panic(noSuccessors(dst[w*nT+col-1], t))
 			}
-			k := pick(ents, sp.lo, sp.n, uw)
+			k := pick(ents, sp.lo, sp.n, mcrand.Mix64(x))
+			x += stride
 			e := &ents[k]
 			dst[w*nT+col] = states[k]
 			*sp = span{e.nextLo, e.nextN}
 		}
 	}
+	rng.Skip(n * per)
 	return true
+}
+
+// Support returns the states the sampler can emit at time t, in
+// ascending order: the posterior support at t, which holds every entry
+// state a window starting at t draws and every destination of the
+// adapted transitions into t. It is nil outside the object's lifetime,
+// where the object is dead. The slice is shared and must not be
+// modified.
+func (s *Sampler) Support(t int) []int32 {
+	if t < s.model.start || t > s.model.end {
+		return nil
+	}
+	return s.post[t-s.model.start].states
 }
 
 func fillDead(dst []int32) {

@@ -37,12 +37,27 @@ func New(seed int64) RNG {
 	return RNG{state: uint64(seed)}
 }
 
+// Golden is the splitmix64 increment. The generator is a counter: its
+// state advances by Golden per draw, so the i-th draw (i >= 1) after a
+// position s is Mix64(s + i·Golden). Kernels that need many draws in a
+// fixed order can therefore compute any of them in place from Counter
+// and then Skip past all of them.
+const Golden = 0x9e3779b97f4a7c15
+
 // Uint64 advances the generator and returns the next 64 uniformly
 // distributed bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += Golden
 	return Mix64(r.state)
 }
+
+// Counter returns the generator's current position: the next Uint64
+// call returns Mix64(Counter() + Golden).
+func (r *RNG) Counter() uint64 { return r.state }
+
+// Skip advances the generator past n draws without computing them, as
+// n Uint64 calls would.
+func (r *RNG) Skip(n int) { r.state += uint64(n) * Golden }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.
 func (r *RNG) Float64() float64 {
@@ -79,5 +94,5 @@ func SubSeed(seed int64, key int) int64 {
 // For keys that round-trip int — every small ID and worker index —
 // SubSeed and SubSeed64 agree bit for bit.
 func SubSeed64(seed int64, key uint64) int64 {
-	return int64(Mix64(uint64(seed) ^ Mix64(key+0x9e3779b97f4a7c15)))
+	return int64(Mix64(uint64(seed) ^ Mix64(key+Golden)))
 }

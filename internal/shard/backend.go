@@ -12,15 +12,18 @@ import (
 )
 
 // ScatterRow is one influencer of a remote scatter: the object's stable
-// ID and its pre-drawn state columns. States holds Worlds consecutive
-// columns of nT = Te-Ts+1 little int32 states each (-1 marking a dead
-// timestep), drawn from the object's private (request seed, object ID)
-// generator in world order — exactly the sequence the local evaluation
-// loop would draw, which is what lets a coordinator replay them through
-// Gather and obtain byte-identical answers.
+// ID, its pre-drawn state columns and its exact distance bounds. States
+// holds Worlds consecutive columns of nT = Te-Ts+1 little int32 states
+// each (-1 marking a dead timestep), drawn from the object's private
+// (request seed, object ID) generator in world order — exactly the
+// sequence the local evaluation loop would draw, which is what lets a
+// coordinator replay them through Gather and obtain byte-identical
+// answers. DMin and DMax (nT entries each, +Inf where dead) are the
+// bounds Gather's exact refinement reads (see GatherRow).
 type ScatterRow struct {
-	ID     int
-	States []int32
+	ID         int
+	States     []int32
+	DMin, DMax []float64
 }
 
 // ScatterResult is the answer of one peer's scatter phase: everything a
@@ -42,9 +45,10 @@ type ScatterResult struct {
 	Samples int
 	Worlds  int
 
-	// Rows lists this peer's influencers; CandIDs (ascending) the
-	// object IDs that survived the peer's ∀-filter; PruneDist the
-	// per-timestep influence threshold, loosest over the peer's shards.
+	// Rows lists this peer's influencers and CandIDs (ascending) the
+	// object IDs that survived the peer's ∀-filter, both after the exact
+	// refinement over the peer's own rows; PruneDist the per-timestep
+	// filter threshold, loosest over the peer's shards.
 	Rows      []ScatterRow
 	CandIDs   []int
 	PruneDist []float64
@@ -54,14 +58,19 @@ type ScatterResult struct {
 	AdaptTime     time.Duration
 }
 
-// Scatter runs the filter step, sampler adaptation, and world drawing
-// for one query spec over this snapshot and returns the result in wire
-// form: per-influencer state columns instead of live samplers. It is
-// the peer half of the cluster RPC boundary — Snap.RunSharedInfluence
-// is exactly Scatter (minus the eager drawing) piped into Gather, so a
-// coordinator that merges peers' ScatterResults and replays them
-// through Gather computes the same answer a single process holding all
-// objects would.
+// Scatter runs the filter step, sampler adaptation, exact refinement
+// and world drawing for one query spec over this snapshot and returns
+// the result in wire form: per-influencer state columns instead of live
+// samplers. It is the peer half of the cluster RPC boundary —
+// Snap.RunSharedInfluence is exactly Scatter (minus the eager drawing)
+// piped into Gather, so a coordinator that merges peers' ScatterResults
+// and replays them through Gather computes the same answer a single
+// process holding all objects would.
+//
+// The peer refines its own rows before drawing any column. Its
+// thresholds are computed over fewer rows and are therefore only
+// looser than the coordinator's, so it drops only rows the
+// coordinator's Gather would drop too; Gather then refines globally.
 //
 // The columns are drawn eagerly up to the worst-case budget
 // spec.Conf.Budget(samples) because the adaptive early-stop decision is
@@ -80,18 +89,19 @@ func (s *Snap) Scatter(spec GroupSpec) (*ScatterResult, error) {
 	}
 	nT := spec.Te - spec.Ts + 1
 	maxN := spec.Conf.Budget(x.samples)
+	rows, cands, byShard := refineRows(spec.K, nT, x.rows, x.cands, x.byShard)
 	res := &ScatterResult{
 		Version:       s.Version,
 		Versions:      s.ShardVersions(),
 		Samples:       x.samples,
 		Worlds:        maxN,
-		Rows:          make([]ScatterRow, len(x.entries)),
+		Rows:          make([]ScatterRow, len(rows)),
 		PruneDist:     x.pruneDist,
 		SamplerBuilds: x.stats.SamplerBuilds,
 		AdaptTime:     x.stats.AdaptTime,
 	}
-	for _, ei := range x.cands {
-		res.CandIDs = append(res.CandIDs, x.entries[ei].id)
+	for _, ri := range cands {
+		res.CandIDs = append(res.CandIDs, rows[ri].ID)
 	}
 	sort.Ints(res.CandIDs)
 	// Draw with the same per-shard fan-out as the scatter itself. Row
@@ -99,7 +109,7 @@ func (s *Snap) Scatter(spec GroupSpec) (*ScatterResult, error) {
 	// can run concurrently; within a row, worlds are drawn in order —
 	// the invariant replay depends on.
 	var wg sync.WaitGroup
-	for _, group := range x.byShard {
+	for _, group := range byShard {
 		if len(group) == 0 {
 			continue
 		}
@@ -107,15 +117,15 @@ func (s *Snap) Scatter(spec GroupSpec) (*ScatterResult, error) {
 		go func(group []int) {
 			defer wg.Done()
 			var sc inference.WalkScratch
-			for _, ei := range group {
-				e := x.entries[ei]
+			for _, ri := range group {
+				r := rows[ri]
 				col := make([]int32, maxN*nT)
-				rng := mcrand.New(mcrand.SubSeed(spec.Seed, e.id))
+				rng := mcrand.New(mcrand.SubSeed(spec.Seed, r.ID))
 				for w0 := 0; w0 < maxN; w0 += nn.WorldChunk {
 					cn := min(nn.WorldChunk, maxN-w0)
-					e.smp.SampleWindowsInto(&rng, spec.Ts, spec.Te, cn, col[w0*nT:], &sc)
+					r.Smp.SampleWindowsInto(&rng, spec.Ts, spec.Te, cn, col[w0*nT:], &sc)
 				}
-				res.Rows[ei] = ScatterRow{ID: e.id, States: col}
+				res.Rows[ri] = ScatterRow{ID: r.ID, States: col, DMin: r.DMin, DMax: r.DMax}
 			}
 		}(group)
 	}
@@ -146,7 +156,7 @@ func MergeScatters(parts []*ScatterResult) (GatherInput, error) {
 			}
 			ri := len(in.Rows)
 			rowOf[r.ID] = ri
-			in.Rows = append(in.Rows, GatherRow{ID: r.ID, States: r.States})
+			in.Rows = append(in.Rows, GatherRow{ID: r.ID, States: r.States, DMin: r.DMin, DMax: r.DMax})
 			group = append(group, ri)
 		}
 		in.FillGroups = append(in.FillGroups, group)

@@ -2,9 +2,12 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"pnn/internal/datagen"
+	"pnn/internal/geo"
 	"pnn/internal/query"
 	"pnn/internal/uncertain"
 )
@@ -83,6 +86,10 @@ func BenchmarkShardedIngest(b *testing.B) {
 // BenchmarkShardedQuery measures scatter-gather refinement: the
 // expensive per-object world sampling runs one goroutine per shard, so
 // wall-clock per query should shrink with shards on a multi-core host.
+// It also reports the influencer rows sampled (rows/op) and ∀
+// candidates (cands/op) left by the filter and the exact refinement:
+// counts that do not depend on the hardware, so benchdiff gates them on
+// any CPU and a loosened pruning step fails the gate.
 func BenchmarkShardedQuery(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
@@ -107,11 +114,99 @@ func BenchmarkShardedQuery(b *testing.B) {
 			q := query.StateQuery(sp.Point(center))
 			b.ReportAllocs()
 			b.ResetTimer()
+			rows, cands := 0, 0
 			for i := 0; i < b.N; i++ {
-				if _, _, err := snap.ExistsKNN(q, 1, 15, 1, 0.01, int64(i)); err != nil {
+				_, st, err := snap.ExistsKNN(q, 1, 15, 1, 0.01, int64(i))
+				if err != nil {
 					b.Fatal(err)
 				}
+				rows += st.Influencers
+				cands += st.Candidates
 			}
+			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+			b.ReportMetric(float64(cands)/float64(b.N), "cands/op")
 		})
 	}
+}
+
+// BenchmarkRefinedRead measures one round of 32 one-shot ∃ reads on the
+// read-mix shape of the end-to-end benchmark (10000 states, 1000
+// objects over a 1000-tic horizon, 2 shards), restricted to the objects
+// alive around the reads' windows so set-up stays short: k = 1..3,
+// static references and references walking the network. Besides ns/op
+// it reports, per read, the influencer rows the two shards' filters
+// keep (filter-rows/read) and the rows and ∀ candidates left after the
+// exact refinement (rows/read, cands/read). The counts do not depend on
+// the hardware, so benchdiff gates them on any CPU: a loosened
+// refinement raises rows/read toward filter-rows/read and fails the
+// gate.
+func BenchmarkRefinedRead(b *testing.B) {
+	ds, err := datagen.Synthetic(datagen.SyntheticConfig{
+		States: 10000, Branching: 8, Objects: 1000, Lifetime: 100, Horizon: 1000,
+		ObsInterval: 10, Lag: 0.5, SelfWeight: 0.5,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const t0, t1 = 500, 519 // every read's window lies inside [t0, t1]
+	var objs []*uncertain.Object
+	for _, o := range ds.Objects {
+		if o.First().T <= t1 && o.Last().T >= t0 {
+			objs = append(objs, o)
+		}
+	}
+	s, err := New(ds.Space, objs, 1000, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.PrepareAll(); err != nil {
+		b.Fatal(err)
+	}
+	snap := s.Snapshot()
+	rng := rand.New(rand.NewSource(7))
+	specs := make([]GroupSpec, 32)
+	for i := range specs {
+		ts := t0 + rng.Intn(t1-t0-8)
+		st := rng.Intn(ds.Space.Len())
+		q := query.StateQuery(ds.Space.Point(st))
+		if i%4 == 3 {
+			pts := make([]geo.Point, 10)
+			for j := range pts {
+				pts[j] = ds.Space.Point(st)
+				nb := ds.Space.Neighbors(st)
+				st = int(nb[rng.Intn(len(nb))])
+			}
+			q = query.TrajectoryQuery(ts, pts)
+		}
+		specs[i] = GroupSpec{Q: q, Ts: ts, Te: ts + 9, K: 1 + i%3, Seed: int64(i)}
+	}
+	filtered := 0
+	for _, spec := range specs {
+		for _, p := range snap.Parts {
+			pr, err := p.Engine.PruneWindow(spec.Q, spec.Ts, spec.Te, spec.K)
+			if err != nil {
+				b.Fatal(err)
+			}
+			filtered += len(pr.Influencers)
+		}
+	}
+	items := []GroupItem{{Op: OpExists, Tau: 0.1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows, cands := 0, 0
+	for i := 0; i < b.N; i++ {
+		rows, cands = 0, 0
+		for _, spec := range specs {
+			_, st, err := snap.RunShared(spec, items)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows += st.Influencers
+			cands += st.Candidates
+		}
+	}
+	reads := float64(len(specs))
+	b.ReportMetric(float64(filtered)/reads, "filter-rows/read")
+	b.ReportMetric(float64(rows)/reads, "rows/read")
+	b.ReportMetric(float64(cands)/reads, "cands/read")
 }

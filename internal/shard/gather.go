@@ -11,18 +11,26 @@ import (
 	"pnn/internal/space"
 )
 
-// GatherRow is one influencer row of a gather: the object's stable ID
-// plus exactly one draw source. Local gathers carry the adapted sampler
-// (worlds are drawn during evaluation from the row's private
-// generator); cross-process gathers carry the state columns a peer
-// pre-drew from that same generator (see Snap.Scatter), replayed
-// through the shared executor. Either way the evaluated worlds are
-// identical, which is what keeps distributed answers byte-identical to
-// single-process ones.
+// GatherRow is one influencer row of a gather: the object's stable ID,
+// its exact distance bounds, and exactly one draw source. Local gathers
+// carry the adapted sampler (worlds are drawn during evaluation from
+// the row's private generator, seeded by mcrand.SubSeed(request seed,
+// object ID) — never by shard or engine index, so an object's sampled
+// trajectories are the same whatever it shares an engine with);
+// cross-process gathers carry the state columns a peer pre-drew from
+// that same generator (see Snap.Scatter), replayed through the shared
+// executor. Either way the evaluated worlds are identical, which is
+// what keeps distributed answers byte-identical to single-process ones.
 type GatherRow struct {
 	ID     int
 	Smp    *inference.Sampler
 	States []int32
+
+	// DMin[t-Ts] and DMax[t-Ts] bound the row's distance to q(t) in
+	// every possible world: the extremes over the states its sampler can
+	// emit at t, +Inf both where the object is dead (see supportBounds).
+	// Gather's exact refinement reads them; both must span the window.
+	DMin, DMax []float64
 }
 
 // GatherInput is the merged scatter output one gather evaluates: the
@@ -44,7 +52,8 @@ type GatherInput struct {
 
 	// Rows holds the merged influencers; Cands indexes the rows that
 	// survived the ∀-filter. FillGroups optionally partitions row
-	// indices for the parallel fill phase (nil: one group).
+	// indices for the parallel fill phase (nil: one group). Gather
+	// refines all three exactly before sampling.
 	Rows       []GatherRow
 	FillGroups [][]int
 	Cands      []int
@@ -69,10 +78,15 @@ type gather struct {
 // Gather answers every item of a shared-world group over the merged
 // scatter output in `in`. It is the second half of RunSharedInfluence,
 // exported so a cluster coordinator can evaluate rows scattered by
-// remote peers through the identical evaluator setup, executor, and
-// refinement as a single-process query: given equal rows, candidates
+// remote peers through the identical refinement, evaluator setup and
+// executor as a single-process query: given equal rows, candidates
 // and spec, the answers (and the adaptive stop point) are
 // byte-identical by construction.
+//
+// Before any world is drawn, Gather drops every row and ∀ candidate
+// the exact nonzero-NN test rules out (see refine.go). Stats and the
+// returned Influence report the refined rows; Influence.PruneDist
+// keeps the merged filter thresholds.
 func Gather(spec GroupSpec, items []GroupItem, in GatherInput) ([]GroupAnswer, query.Stats, Influence, error) {
 	for _, it := range items {
 		if it.Op == OpCNN && it.Tau <= 0 {
@@ -82,13 +96,22 @@ func Gather(spec GroupSpec, items []GroupItem, in GatherInput) ([]GroupAnswer, q
 	if err := spec.Conf.Validate(); err != nil {
 		return nil, in.Stats, Influence{}, err
 	}
+	ts, te, k := spec.Ts, spec.Te, spec.K
+	if te < ts || k < 1 {
+		return nil, in.Stats, Influence{}, fmt.Errorf("shard: gather needs te >= ts and k >= 1, got [%d, %d] and k = %d", ts, te, k)
+	}
+	if err := checkBounds(in.Rows, te-ts+1); err != nil {
+		return nil, in.Stats, Influence{}, err
+	}
+	in.Rows, in.Cands, in.FillGroups = refineRows(k, te-ts+1, in.Rows, in.Cands, in.FillGroups)
+	in.Stats.Influencers = len(in.Rows)
+	in.Stats.Candidates = len(in.Cands)
 	g := &gather{spec: spec, in: &in, stats: in.Stats}
 	inf := Influence{PruneDist: in.PruneDist}
 	for _, r := range in.Rows {
 		inf.IDs = append(inf.IDs, r.ID)
 	}
 	sort.Ints(inf.IDs)
-	ts, te, k := spec.Ts, spec.Te, spec.K
 	answers := make([]GroupAnswer, len(items))
 	if len(in.Rows) == 0 {
 		return answers, g.stats, inf, nil
@@ -120,13 +143,12 @@ func Gather(spec GroupSpec, items []GroupItem, in GatherInput) ([]GroupAnswer, q
 	for _, it := range items {
 		switch it.Op {
 		case OpForAll:
-			// For ∀ semantics only the merged candidates can answer; with
-			// a fixed budget an empty candidate set needs no sampling for
-			// this member. Under a confidence policy the evaluator is
-			// attached even then: per-shard pruning supersets mean another
-			// layout may carry extra (always-zero) candidate rows, and
-			// only the always-attached evaluator's virtual-zero-row rule
-			// keeps the group's stop decision identical across layouts.
+			// For ∀ semantics only the refined candidates can answer;
+			// with a fixed budget an empty candidate set needs no
+			// sampling for this member, and the refined set is the same
+			// in every layout. Under a confidence policy the evaluator is
+			// attached even then, so the group's stop decision follows
+			// the virtual-zero-row rule whether or not candidates remain.
 			if faEv == nil && (len(in.Cands) > 0 || spec.Conf.Enabled()) {
 				faEv = query.NewCountEvaluator(k, true, in.Cands)
 				faEv.SetBound(spec.Conf, faTaus...)

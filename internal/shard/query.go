@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"pnn/internal/inference"
+	"pnn/internal/geo"
 	"pnn/internal/query"
 )
 
@@ -27,58 +27,47 @@ type IntervalResult struct {
 	Prob  float64
 }
 
-// entry is one influencer object of a scatter-gather query: where it
-// lives, its stable ID, and its adapted sampler. Its possible worlds
-// are drawn from a private generator seeded by mcrand.SubSeed(request
-// seed, object ID) — keying on the object ID (never on shard or engine
-// index) is what makes answers independent of the shard count: an
-// object's sampled trajectories for a given request seed are the same
-// whether it shares an engine with every other object or with none of
-// them.
-type entry struct {
-	shard int
-	oi    int // engine index within the shard
-	id    int
-	smp   *inference.Sampler
-}
-
 // exec is the scatter output of one scatter-gather query: the merged
-// influencer entries (grouped by shard for the sampling phase) plus the
-// merged candidate rows. Evaluation happens in Gather, which consumes
-// this through a GatherInput.
+// influencer rows (samplers plus exact distance bounds, grouped by
+// shard for the sampling phase) and the merged candidate rows.
+// Evaluation happens in Gather, which consumes this through a
+// GatherInput.
 type exec struct {
 	samples int
 	workers int
 
-	entries   []entry
-	byShard   [][]int   // entry indices per shard
-	cands     []int     // entry indices that survived the ∀-filter
+	rows      []GatherRow
+	byShard   [][]int   // row indices per shard
+	cands     []int     // row indices that survived the ∀-filter
 	pruneDist []float64 // per-timestep influence threshold, loosest over shards
 	stats     query.Stats
 }
 
 // Influence summarizes the influence region of one evaluated spec: the
-// influencer object IDs (ascending) and the per-timestep pruning
-// threshold, taken as the elementwise loosest (largest) over shards so
-// it bounds every shard's own threshold. An object that stays strictly
-// outside PruneDist at every window time where it is alive cannot be
-// among the k nearest at any time and therefore cannot change the
-// spec's answer — the contract behind write-path subscription
-// invalidation.
+// influencer object IDs (ascending, the rows left after the exact
+// refinement) and the per-timestep pruning threshold of the UST-tree
+// filter, taken as the elementwise loosest (largest) over shards so it
+// bounds every shard's own threshold and the refinement's exact one.
+// An object that stays strictly outside PruneDist at every window time
+// where it is alive cannot be among the k nearest at any time and
+// therefore cannot change the spec's answer — the contract behind
+// write-path subscription invalidation.
 type Influence struct {
 	IDs       []int
 	PruneDist []float64
 }
 
-// scatter runs the filter step and sampler adaptation on every shard in
-// parallel and merges the per-shard candidate/influence sets. Per-shard
+// scatter runs the filter step, sampler adaptation and the exact
+// distance bounds of every influencer on every shard in parallel and
+// merges the per-shard candidate/influence sets. Per-shard
 // pruning distances are computed over fewer objects and are therefore
 // only looser than the global ones, so the merged sets are supersets of
 // the single-tree sets; because pruning is lossless (a pruned object is
 // dominated by >= k objects in every possible world), the extra objects
 // can neither win the NN predicate themselves nor flip it for anyone
-// else — they surface as zero-probability rows that the tau/p>0 filter
-// drops, keeping answers byte-identical across shard counts.
+// else. Gather's exact refinement drops them (see refine.go), so the
+// rows that are sampled — and the answers — do not depend on the shard
+// count.
 func (s *Snap) scatter(spec GroupSpec) (*exec, error) {
 	begin := time.Now()
 	x := &exec{
@@ -98,7 +87,7 @@ func (s *Snap) scatter(spec GroupSpec) (*exec, error) {
 		influencers []int
 		candidates  []int
 		prune       []float64
-		samplers    []*inference.Sampler
+		rows        []GatherRow
 		built       int
 		err         error
 	}
@@ -125,7 +114,16 @@ func (s *Snap) scatter(spec GroupSpec) (*exec, error) {
 					pl.prune[i] = math.Inf(1)
 				}
 			}
-			pl.samplers = make([]*inference.Sampler, len(pr.Influencers))
+			pts := eng.Tree().Space().Points()
+			ids := s.Parts[si].IDs
+			nT := te - ts + 1
+			qpts := make([]geo.Point, nT)
+			for ti := range qpts {
+				qpts[ti] = q.At(ts + ti)
+			}
+			// One backing array holds every row's two bound vectors.
+			bounds := make([]float64, 2*nT*len(pr.Influencers))
+			pl.rows = make([]GatherRow, len(pr.Influencers))
 			for i, oi := range pr.Influencers {
 				smp, built, err := eng.SamplerCached(oi)
 				if err != nil {
@@ -135,7 +133,10 @@ func (s *Snap) scatter(spec GroupSpec) (*exec, error) {
 				if built {
 					pl.built++
 				}
-				pl.samplers[i] = smp
+				b := bounds[2*i*nT : 2*(i+1)*nT : 2*(i+1)*nT]
+				dmin, dmax := b[:nT:nT], b[nT:]
+				supportBounds(smp, pts, qpts, ts, dmin, dmax)
+				pl.rows[i] = GatherRow{ID: ids[oi], Smp: smp, DMin: dmin, DMax: dmax}
 			}
 		}(si, p.Engine)
 	}
@@ -150,17 +151,11 @@ func (s *Snap) scatter(spec GroupSpec) (*exec, error) {
 			isCand[oi] = true
 		}
 		for i, oi := range pl.influencers {
-			id := s.Parts[si].IDs[oi]
-			ei := len(x.entries)
-			x.entries = append(x.entries, entry{
-				shard: si,
-				oi:    oi,
-				id:    id,
-				smp:   pl.samplers[i],
-			})
-			x.byShard[si] = append(x.byShard[si], ei)
+			ri := len(x.rows)
+			x.rows = append(x.rows, pl.rows[i])
+			x.byShard[si] = append(x.byShard[si], ri)
 			if isCand[oi] {
-				x.cands = append(x.cands, ei)
+				x.cands = append(x.cands, ri)
 			}
 		}
 		x.stats.SamplerBuilds += pl.built
@@ -177,7 +172,7 @@ func (s *Snap) scatter(spec GroupSpec) (*exec, error) {
 		}
 	}
 	x.stats.Candidates = len(x.cands)
-	x.stats.Influencers = len(x.entries)
+	x.stats.Influencers = len(x.rows)
 	x.stats.AdaptTime = time.Since(begin)
 	return x, nil
 }
@@ -281,15 +276,11 @@ func (s *Snap) RunSharedInfluence(spec GroupSpec, items []GroupItem) ([]GroupAns
 	if err != nil {
 		return nil, query.Stats{}, Influence{}, err
 	}
-	rows := make([]GatherRow, len(x.entries))
-	for i, e := range x.entries {
-		rows[i] = GatherRow{ID: e.id, Smp: e.smp}
-	}
 	return Gather(spec, items, GatherInput{
 		Engine:     s.Parts[0].Engine,
 		Samples:    x.samples,
 		Workers:    x.workers,
-		Rows:       rows,
+		Rows:       x.rows,
 		FillGroups: x.byShard,
 		Cands:      x.cands,
 		PruneDist:  x.pruneDist,
