@@ -3,14 +3,9 @@ package pnn
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
-	"pnn/internal/mcrand"
-	"pnn/internal/query"
 	"pnn/internal/shard"
 )
 
@@ -141,166 +136,6 @@ func (p *Processor) RunBatch(reqs []Request, workers int) []Response {
 	return out
 }
 
-// RunBatchStats is RunBatch with explicit options — most importantly
-// shared-world coalescing (BatchOptions.ShareWorlds) — and returns the
-// batch-level work accounting alongside the responses.
-func (p *Processor) RunBatchStats(reqs []Request, opts BatchOptions) ([]Response, BatchStats) {
-	out := make([]Response, len(reqs))
-	bst := BatchStats{Requests: len(reqs)}
-	if len(reqs) == 0 {
-		return out, bst
-	}
-	snap := p.set.Snapshot()
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.ShareWorlds {
-		p.runShared(snap, reqs, opts.SharedSeed, workers, out, &bst)
-		return out, bst
-	}
-	var mu sync.Mutex
-	runPool(len(reqs), workers, func(i int) {
-		var raw query.Stats
-		out[i], raw = runOne(snap, reqs[i])
-		mu.Lock()
-		bst.SamplerBuilds += raw.SamplerBuilds
-		bst.AdaptTime += raw.AdaptTime
-		mu.Unlock()
-	})
-	return out, bst
-}
-
-// runPool fans fn over the item indices [0, n) on a pool of `workers`
-// goroutines (clamped to n; one runs inline). fn must be safe for
-// concurrent calls on distinct indices.
-func runPool(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-}
-
-// batchGroup is one shared-world group: the requests whose (query
-// positions over the window, interval, k) coincide, answered over one
-// sampled world set.
-type batchGroup struct {
-	q         Query
-	ts, te    int
-	k         int
-	seed      int64
-	conf      Confidence
-	minWorlds int
-	items     []shard.GroupItem
-	reqIdx    []int
-}
-
-// runShared partitions the valid requests into shared-world groups and
-// executes each group as one plan via shard.Snap.RunShared, fanning
-// groups across the worker pool. Invalid requests fail individually
-// without joining a group.
-func (p *Processor) runShared(snap *shard.Snap, reqs []Request, sharedSeed int64, workers int, out []Response, bst *BatchStats) {
-	groups := make(map[string]*batchGroup)
-	var order []*batchGroup
-	for i, req := range reqs {
-		k, op, err := normalizeRequest(req)
-		if err != nil {
-			out[i] = Response{Version: versionOf(snap), Err: err}
-			continue
-		}
-		key := groupKey(req.Query, req.Ts, req.Te, k, req.Confidence, req.MinWorlds)
-		g := groups[key]
-		if g == nil {
-			h := fnv.New64a()
-			h.Write([]byte(key))
-			g = &batchGroup{
-				q: req.Query, ts: req.Ts, te: req.Te, k: k,
-				seed:      mcrand.SubSeed64(sharedSeed, h.Sum64()),
-				conf:      req.Confidence,
-				minWorlds: req.MinWorlds,
-			}
-			groups[key] = g
-			order = append(order, g)
-		}
-		g.items = append(g.items, shard.GroupItem{Op: op, Tau: req.Tau})
-		g.reqIdx = append(g.reqIdx, i)
-	}
-	bst.Groups = len(order)
-	var mu sync.Mutex
-	runPool(len(order), workers, func(gi int) {
-		g := order[gi]
-		answers, st, err := sharedGroup(snap, g)
-		mu.Lock()
-		bst.SamplerBuilds += st.SamplerBuilds
-		bst.AdaptTime += st.AdaptTime
-		mu.Unlock()
-		for j, ri := range g.reqIdx {
-			if err != nil {
-				out[ri] = Response{Version: versionOf(snap), Err: err}
-				continue
-			}
-			out[ri] = answers[j]
-		}
-	})
-}
-
-// sharedGroup answers one group over one shared world set, converting
-// shard answers to facade responses. A panic becomes the whole group's
-// error rather than killing the worker.
-func sharedGroup(snap *shard.Snap, g *batchGroup) (resps []Response, st query.Stats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			resps, err = nil, fmt.Errorf("pnn: shared batch group panicked: %v", r)
-		}
-	}()
-	answers, st, err := snap.RunShared(shard.GroupSpec{
-		Q: g.q, Ts: g.ts, Te: g.te, K: g.k, Seed: g.seed, Conf: g.conf, MinWorlds: g.minWorlds,
-	}, g.items)
-	if err != nil {
-		return nil, st, err
-	}
-	stats := convStats(st)
-	stats.SamplerBuilds = 0 // batch-level accounting; see BatchStats
-	vi := versionOf(snap)
-	resps = make([]Response, len(answers))
-	for i, a := range answers {
-		resps[i] = Response{Stats: stats, Version: vi, Err: a.Err}
-		if a.Err != nil {
-			continue
-		}
-		resps[i].Results = convertResults(a.Results)
-		if a.Intervals != nil {
-			ivs := make([]IntervalResult, len(a.Intervals))
-			for j, r := range a.Intervals {
-				ivs[j] = IntervalResult{ObjectID: r.ID, Times: r.Times, Prob: r.Prob}
-			}
-			resps[i].Intervals = ivs
-		}
-	}
-	return resps, st, nil
-}
-
 // normalizeRequest is the single validation point of both batch paths:
 // it checks the request fields that must hold before a request may join
 // a shared-world group (the fingerprint walks the query over the
@@ -392,62 +227,4 @@ func sameShape(sem Semantics, qs []Query, ts, te int, tau float64, baseSeed int6
 		reqs[i] = Request{Semantics: sem, Query: q, Ts: ts, Te: te, Tau: tau, Seed: baseSeed + int64(i)}
 	}
 	return reqs
-}
-
-// runOne answers one independent request, returning the facade response
-// plus the raw engine statistics for batch-level accounting. The
-// response's own SamplerBuilds is zeroed: build attribution to a single
-// request is scheduling-dependent, so it is reported only as the
-// batch-level sum.
-func runOne(snap *shard.Snap, req Request) (resp Response, raw query.Stats) {
-	// Enforce the no-panic contract: a panicking request becomes its own
-	// Response.Err instead of killing the worker goroutine (and with it
-	// the whole process).
-	defer func() {
-		if r := recover(); r != nil {
-			resp = Response{Version: versionOf(snap), Err: fmt.Errorf("pnn: batch request panicked: %v", r)}
-		}
-	}()
-	k, op, err := normalizeRequest(req)
-	if err != nil {
-		return Response{Version: versionOf(snap), Err: err}, raw
-	}
-	spec := shard.GroupSpec{
-		Q: req.Query, Ts: req.Ts, Te: req.Te, K: k, Seed: req.Seed, Conf: req.Confidence,
-		MinWorlds: req.MinWorlds,
-	}
-	switch op {
-	case shard.OpForAll:
-		resp.Results, raw, resp.Err = rawForAllKNN(snap, spec, req.Tau)
-	case shard.OpExists:
-		resp.Results, raw, resp.Err = rawExistsKNN(snap, spec, req.Tau)
-	case shard.OpCNN:
-		resp.Intervals, raw, resp.Err = rawContinuousKNN(snap, spec, req.Tau)
-	}
-	resp.Stats = convStats(raw)
-	resp.Stats.SamplerBuilds = 0 // batch-level accounting; see BatchStats
-	if req.Confidence.Enabled() {
-		resp.Stats.WorldFloor = req.MinWorlds
-	}
-	resp.Version = versionOf(snap)
-	return resp, raw
-}
-
-func rawForAllKNN(snap *shard.Snap, spec shard.GroupSpec, tau float64) ([]Result, query.Stats, error) {
-	res, st, err := snap.ForAllKNNSpec(spec, tau)
-	return convertResults(res), st, err
-}
-
-func rawExistsKNN(snap *shard.Snap, spec shard.GroupSpec, tau float64) ([]Result, query.Stats, error) {
-	res, st, err := snap.ExistsKNNSpec(spec, tau)
-	return convertResults(res), st, err
-}
-
-func rawContinuousKNN(snap *shard.Snap, spec shard.GroupSpec, tau float64) ([]IntervalResult, query.Stats, error) {
-	res, st, err := snap.CNNKSpec(spec, tau)
-	out := make([]IntervalResult, len(res))
-	for i, r := range res {
-		out[i] = IntervalResult{ObjectID: r.ID, Times: r.Times, Prob: r.Prob}
-	}
-	return out, st, err
 }

@@ -30,9 +30,8 @@ func versionOf(snap *shard.Snap) VersionInfo {
 
 // NormalizeRequest validates req exactly like the one-shot, batch and
 // standing paths (same k defaulting, same error messages) and returns
-// the shared-world group spec plus the request's member item. It is the
-// entry point a cluster coordinator uses to turn an API request into
-// the spec it scatters to peers; local paths keep their private helper.
+// the shared-world group spec plus the request's member item — the spec
+// every Front path hands its View.
 func NormalizeRequest(req Request) (shard.GroupSpec, shard.GroupItem, error) {
 	k, op, err := normalizeRequest(req)
 	if err != nil {
@@ -46,9 +45,9 @@ func NormalizeRequest(req Request) (shard.GroupSpec, shard.GroupItem, error) {
 }
 
 // ShareGroup returns the world-sharing coalescing key of req and the
-// group seed it draws under sharedSeed — byte-for-byte the key and seed
-// RunBatchStats uses, so a coordinator batching over remote peers forms
-// the same groups with the same worlds as a single process would.
+// group seed it draws under sharedSeed: the key and seed RunBatchStats
+// groups by, so a coordinator batching over remote peers forms the
+// same groups with the same worlds as a single process would.
 func ShareGroup(sharedSeed int64, req Request) (key string, seed int64, err error) {
 	k, _, err := normalizeRequest(req)
 	if err != nil {
@@ -61,20 +60,16 @@ func ShareGroup(sharedSeed int64, req Request) (key string, seed int64, err erro
 }
 
 // ResponseFromAnswer converts one shard-level group answer plus its raw
-// stats into a facade Response, mirroring the single-process conversion
-// (including the per-response SamplerBuilds zeroing of grouped paths —
-// the caller restores it for one-shot responses). Version is left for
-// the caller, who knows the merged cluster view.
+// stats into a facade Response, zeroing the per-response SamplerBuilds
+// as batches do (one-shot and standing answers restore it). Version and
+// WorldFloor are left for the caller, who knows the view and the
+// floor the group ran with.
 func ResponseFromAnswer(op shard.GroupOp, a shard.GroupAnswer, raw query.Stats) Response {
 	resp := Response{Err: a.Err}
 	if a.Err == nil {
 		switch op {
 		case shard.OpCNN:
-			ivs := make([]IntervalResult, len(a.Intervals))
-			for i, r := range a.Intervals {
-				ivs[i] = IntervalResult{ObjectID: r.ID, Times: r.Times, Prob: r.Prob}
-			}
-			resp.Intervals = ivs
+			resp.Intervals = convertIntervals(a.Intervals)
 		default:
 			resp.Results = convertResults(a.Results)
 		}
@@ -94,24 +89,6 @@ func (p *Processor) ShardSet() *shard.Set { return p.set }
 // coordinator-side gather needs to compute distances without building
 // an index of its own.
 func (n *Network) Space() *space.Space { return n.sp }
-
-// StandingKey exposes the compatibility-group key of a standing
-// request (see Subscribe): requests with equal keys may be re-evaluated
-// as one shared-world group with byte-identical per-member answers. A
-// cluster coordinator uses it so its standing queries group exactly
-// like a single process would. Invalid requests key to "".
-func StandingKey(req Request) string { return standingKey(req) }
-
-// DefaultSubscriptionSweepInterval re-exports the facade's default
-// sweep-scheduler delay for the coordinator's configuration surface.
-const DefaultSubscriptionSweepInterval = DefaultSweepInterval
-
-// FingerprintResponse condenses a Response's answer — results,
-// intervals, error text, excluding sampling statistics — for
-// on-change-only subscription delivery. A cluster coordinator uses it
-// so its standing queries suppress unchanged answers by exactly the
-// same criterion a single process does.
-func FingerprintResponse(resp Response) uint64 { return fingerprintResponse(resp) }
 
 // Retain drops every registered object whose ID fails keep, in place.
 // It is the peer-startup filter of cluster mode: each peer loads the

@@ -11,14 +11,17 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"pnn"
 )
 
 // ErrPeerUnavailable marks a gather that could not complete
 // consistently: a peer RPC failed (after the hedged retry), timed out,
 // or the per-request snapshots could not be reconciled. The API layer
 // maps it to HTTP 503 with code "peer_unavailable"; a response wrapping
-// it never carries a partial answer.
-var ErrPeerUnavailable = errors.New("cluster: peer unavailable")
+// it never carries a partial answer. It is the front's sentinel
+// (pnn.ErrPeerUnavailable), which batch reconciliation also returns.
+var ErrPeerUnavailable = pnn.ErrPeerUnavailable
 
 // rpcError is a structured error a peer returned (its /internal
 // envelope decoded): the write-rejection and validation cases that must

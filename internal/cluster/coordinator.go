@@ -13,7 +13,6 @@ import (
 	"pnn/internal/query"
 	"pnn/internal/ring"
 	"pnn/internal/shard"
-	"pnn/internal/sub"
 )
 
 // Peer names one shard peer and its /internal RPC base URL.
@@ -43,35 +42,24 @@ type Config struct {
 	// (evaluating merged worlds); 0 uses GOMAXPROCS. It never affects
 	// answer bytes.
 	Workers int
-	// SweepInterval bounds how long routed writes may accumulate
-	// standing-query invalidations before one grouped re-evaluation
-	// sweep drains them; 0 uses pnn.DefaultSubscriptionSweepInterval,
-	// negative sweeps on every write.
-	SweepInterval time.Duration
-}
-
-// coordRegion is the coordinator's stored influence region of a
-// standing query — the wire form of the peer-side influenceRegion, kept
-// pre-encoded so every write-path touch RPC reuses it verbatim.
-type coordRegion struct {
-	q      QueryJSON
-	ts, te int
-	bound  []float64
 }
 
 // Coordinator is the router of cluster mode: it owns consistent-hash
 // object routing for ingest, scatters query work to the shard peers and
 // gathers merged answers that are byte-identical to a single-process
 // shard.Set over the union of the peers' objects at the same snapshot
-// versions and seed. It implements the same backend surface as
-// pnn.Processor, so the HTTP server serves either without caring which.
+// versions and seed. Its request surface — one-shots, batches and
+// standing queries — is the embedded pnn.Front, the same one a
+// pnn.Processor embeds, evaluated over remoteView; the coordinator
+// itself owns only routing, scatter, ingest and touch RPCs, health
+// probes and status.
 type Coordinator struct {
+	*pnn.Front
 	net     *pnn.Network
 	cfg     Config
 	ring    *ring.Ring
 	order   []string // configured peer order = version-vector concat order
 	clients map[string]*peerClient
-	subs    *sub.Registry
 
 	samples int // agreed per-query sample budget, set by Bootstrap
 
@@ -103,12 +91,6 @@ func NewCoordinator(net *pnn.Network, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	sweep := cfg.SweepInterval
-	if sweep == 0 {
-		sweep = pnn.DefaultSubscriptionSweepInterval
-	} else if sweep < 0 {
-		sweep = 0
-	}
 	c := &Coordinator{
 		net:     net,
 		cfg:     cfg,
@@ -117,21 +99,11 @@ func NewCoordinator(net *pnn.Network, cfg Config) (*Coordinator, error) {
 		clients: clients,
 		stop:    make(chan struct{}),
 	}
-	c.subs = sub.New(sub.Options{
-		Workers:       runtime.GOMAXPROCS(0),
-		GroupEval:     c.evalStandingGroup,
-		SweepInterval: sweep,
-	})
+	// Standing-group evaluations mostly wait on peers, so the router's
+	// sweep pool is as wide as the machine.
+	c.Front = pnn.NewFront(func() pnn.View { return remoteView{c} }, runtime.GOMAXPROCS(0))
 	return c, nil
 }
-
-// SetSweepInterval tunes the sweep scheduler's bounded delay, exactly
-// like pnn.Processor.SetSweepInterval.
-func (c *Coordinator) SetSweepInterval(d time.Duration) { c.subs.SetSweepInterval(d) }
-
-// SetSubscriptionGrouping toggles grouped re-evaluation of compatible
-// standing queries, exactly like pnn.Processor.SetSubscriptionGrouping.
-func (c *Coordinator) SetSubscriptionGrouping(enabled bool) { c.subs.SetGrouping(enabled) }
 
 // Bootstrap probes every peer until it answers (retrying until ctx
 // expires), verifies the static parameters the determinism contract
@@ -296,11 +268,16 @@ func (c *Coordinator) scatterAll(ctx context.Context, spec shard.GroupSpec) (sha
 	return in, versionFromParts(parts), nil
 }
 
-// runGroup is the remote RunSharedInfluence: scatter, merge, replay-
-// gather. Answer bytes match the single-process path at the same
-// snapshot versions and seed by construction.
-func (c *Coordinator) runGroup(ctx context.Context, spec shard.GroupSpec, items []shard.GroupItem) ([]shard.GroupAnswer, query.Stats, shard.Influence, pnn.VersionInfo, error) {
-	in, vi, err := c.scatterAll(ctx, spec)
+// remoteView is the coordinator's pnn.View. It pins nothing: every
+// group scatters to all peers and replays the merged rows through
+// shard.Gather, so answer bytes match the single-process path at the
+// same snapshot versions and seed by construction. A batch whose groups
+// gather across concurrent writes is caught by the front's version
+// reconciliation.
+type remoteView struct{ c *Coordinator }
+
+func (v remoteView) RunGroup(spec shard.GroupSpec, items []shard.GroupItem) ([]shard.GroupAnswer, query.Stats, shard.Influence, pnn.VersionInfo, error) {
+	in, vi, err := v.c.scatterAll(context.Background(), spec)
 	if err != nil {
 		return nil, query.Stats{}, shard.Influence{}, vi, err
 	}
@@ -308,253 +285,9 @@ func (c *Coordinator) runGroup(ctx context.Context, spec shard.GroupSpec, items 
 	return answers, stats, inf, vi, err
 }
 
-// runStanding answers one request, additionally reporting the influence
-// region and the composite version for the subscription machinery.
-func (c *Coordinator) runStanding(req pnn.Request) (pnn.Response, shard.Influence, int64) {
-	spec, item, err := pnn.NormalizeRequest(req)
-	if err != nil {
-		vi := c.cachedVersion()
-		return pnn.Response{Version: vi, Err: err}, shard.Influence{}, vi.Max
-	}
-	answers, raw, inf, vi, err := c.runGroup(context.Background(), spec, []shard.GroupItem{item})
-	if err != nil {
-		return pnn.Response{Version: vi, Err: err}, shard.Influence{}, vi.Max
-	}
-	resp := pnn.ResponseFromAnswer(item.Op, answers[0], raw)
-	resp.Stats.SamplerBuilds = raw.SamplerBuilds
-	resp.Version = vi
-	return resp, inf, vi.Max
-}
-
-// Run answers one query through the scatter-gather path.
-func (c *Coordinator) Run(req pnn.Request) pnn.Response {
-	resp, _, _ := c.runStanding(req)
-	return resp
-}
-
-// batchUnit is one independently re-runnable slice of a batch: a single
-// request, or one shared-world group. run answers its requests into out
-// and returns the version view it gathered at.
-type batchUnit struct {
-	idx []int
-	run func(ctx context.Context) pnn.VersionInfo
-}
-
-// RunBatchStats mirrors pnn's batch contract over the cluster: the same
-// grouping keys and group seeds (via pnn.ShareGroup), the same
-// per-response SamplerBuilds zeroing, plus cross-request snapshot
-// reconciliation — a single process pins one snapshot for the whole
-// batch, a coordinator cannot, so units that gathered at a stale view
-// are retried once against the newest and flagged peer_unavailable if
-// they still disagree.
-func (c *Coordinator) RunBatchStats(reqs []pnn.Request, opts pnn.BatchOptions) ([]pnn.Response, pnn.BatchStats) {
-	out := make([]pnn.Response, len(reqs))
-	bst := pnn.BatchStats{Requests: len(reqs)}
-	if len(reqs) == 0 {
-		return out, bst
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ctx := context.Background()
-	var mu sync.Mutex
-	var units []*batchUnit
-	if opts.ShareWorlds {
-		units = c.shareUnits(reqs, opts.SharedSeed, out, &bst, &mu)
-		bst.Groups = len(units)
-	} else {
-		units = c.soloUnits(reqs, out, &bst, &mu)
-	}
-	vectors := make([][]int64, len(units))
-	fanOut(len(units), workers, func(u int) {
-		vectors[u] = units[u].run(ctx).Vector
-	})
-	c.reconcile(ctx, workers, units, vectors, out)
-	return out, bst
-}
-
-// soloUnits builds one unit per valid request (sharing disabled).
-func (c *Coordinator) soloUnits(reqs []pnn.Request, out []pnn.Response, bst *pnn.BatchStats, mu *sync.Mutex) []*batchUnit {
-	var units []*batchUnit
-	for i := range reqs {
-		spec, item, err := pnn.NormalizeRequest(reqs[i])
-		if err != nil {
-			out[i] = pnn.Response{Version: c.cachedVersion(), Err: err}
-			continue
-		}
-		i := i
-		units = append(units, &batchUnit{idx: []int{i}, run: func(ctx context.Context) pnn.VersionInfo {
-			answers, raw, _, vi, err := c.runGroup(ctx, spec, []shard.GroupItem{item})
-			if err != nil {
-				out[i] = pnn.Response{Version: vi, Err: err}
-				return vi
-			}
-			resp := pnn.ResponseFromAnswer(item.Op, answers[0], raw)
-			resp.Version = vi
-			out[i] = resp
-			mu.Lock()
-			bst.SamplerBuilds += raw.SamplerBuilds
-			bst.AdaptTime += raw.AdaptTime
-			mu.Unlock()
-			return vi
-		}})
-	}
-	return units
-}
-
-// shareUnits coalesces requests into shared-world groups using exactly
-// the keys and seeds a single process uses, one unit per group.
-func (c *Coordinator) shareUnits(reqs []pnn.Request, sharedSeed int64, out []pnn.Response, bst *pnn.BatchStats, mu *sync.Mutex) []*batchUnit {
-	type bucket struct {
-		seed int64
-		idx  []int
-	}
-	groups := make(map[string]*bucket)
-	var order []string
-	for i := range reqs {
-		key, seed, err := pnn.ShareGroup(sharedSeed, reqs[i])
-		if err != nil {
-			out[i] = pnn.Response{Version: c.cachedVersion(), Err: err}
-			continue
-		}
-		b := groups[key]
-		if b == nil {
-			b = &bucket{seed: seed}
-			groups[key] = b
-			order = append(order, key)
-		}
-		b.idx = append(b.idx, i)
-	}
-	units := make([]*batchUnit, 0, len(order))
-	for _, key := range order {
-		b := groups[key]
-		spec, _, _ := pnn.NormalizeRequest(reqs[b.idx[0]])
-		spec.Seed = b.seed
-		items := make([]shard.GroupItem, len(b.idx))
-		for j, i := range b.idx {
-			_, items[j], _ = pnn.NormalizeRequest(reqs[i])
-		}
-		idx := b.idx
-		units = append(units, &batchUnit{idx: idx, run: func(ctx context.Context) pnn.VersionInfo {
-			answers, raw, _, vi, err := c.runGroup(ctx, spec, items)
-			if err != nil {
-				for _, i := range idx {
-					out[i] = pnn.Response{Version: vi, Err: err}
-				}
-				return vi
-			}
-			for j, i := range idx {
-				resp := pnn.ResponseFromAnswer(items[j].Op, answers[j], raw)
-				resp.Version = vi
-				out[i] = resp
-			}
-			mu.Lock()
-			bst.SamplerBuilds += raw.SamplerBuilds
-			bst.AdaptTime += raw.AdaptTime
-			mu.Unlock()
-			return vi
-		}})
-	}
-	return units
-}
-
-// reconcile enforces the batch's mutual-consistency contract: all units
-// must have gathered at the same snapshot vector. Stale units (writes
-// landed mid-batch) are re-run once against the now-newest view; a unit
-// whose vector still disagrees afterwards gets peer_unavailable — a
-// batch never mixes snapshots silently.
-func (c *Coordinator) reconcile(ctx context.Context, workers int, units []*batchUnit, vectors [][]int64, out []pnn.Response) {
-	stale := staleUnits(units, vectors)
-	if len(stale) == 0 {
-		return
-	}
-	fanOut(len(stale), workers, func(j int) {
-		u := stale[j]
-		vectors[u] = units[u].run(ctx).Vector
-	})
-	for _, u := range staleUnits(units, vectors) {
-		vi := pnn.VersionInfo{Vector: vectors[u]}
-		for _, v := range vectors[u] {
-			vi.Max += v
-		}
-		if n := len(vectors[u]); n > 1 {
-			// Per-shard versions each start at 1; the composite is the
-			// vector sum minus the startup offset.
-			vi.Max -= int64(n - 1)
-		}
-		for _, i := range units[u].idx {
-			out[i] = pnn.Response{Version: vi,
-				Err: fmt.Errorf("%w: batch gathered across concurrent writes twice", ErrPeerUnavailable)}
-		}
-	}
-}
-
-// staleUnits returns the units whose gather vector differs from the
-// newest one seen (the vector with the highest composite sum).
-func staleUnits(units []*batchUnit, vectors [][]int64) []int {
-	sum := func(v []int64) int64 {
-		var s int64
-		for _, x := range v {
-			s += x
-		}
-		return s
-	}
-	best := 0
-	for u := range units {
-		if sum(vectors[u]) > sum(vectors[best]) {
-			best = u
-		}
-	}
-	var stale []int
-	for u := range units {
-		if !equalVec(vectors[u], vectors[best]) {
-			stale = append(stale, u)
-		}
-	}
-	return stale
-}
-
-func equalVec(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// fanOut runs fn over [0, n) on up to `workers` goroutines.
-func fanOut(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
+// Version is the last probed cluster version, stamped on requests that
+// fail before any scatter completes.
+func (v remoteView) Version() pnn.VersionInfo { return v.c.cachedVersion() }
 
 // sentinelError preserves a peer's error message while matching the
 // facade's ingest sentinels under errors.Is, so the API layer classifies
@@ -609,7 +342,7 @@ func (c *Coordinator) ingest(kind string, id int, obs []pnn.Observation) (pnn.In
 	}
 	pc.noteIngest(resp)
 	ing := c.mergedIngest()
-	c.notifyWrite(ctx, id, owner)
+	c.NotifyWrite(id, touchVia(ctx, pc, id))
 	return ing, nil
 }
 
@@ -636,156 +369,26 @@ func (c *Coordinator) mergedIngest() pnn.Ingest {
 	return ing
 }
 
-// notifyWrite classifies the routed write for the standing queries. The
-// touch predicate asks the object's owner whether its (already written)
-// rectangles can intersect the stored influence region; an RPC failure
+// touchVia is the routed write's touch predicate for the standing
+// queries: it asks the object's owner whether its (already written)
+// rectangles can intersect a stored influence region. An RPC failure
 // degrades to "touched" — a spurious re-evaluation, never a missed one.
-func (c *Coordinator) notifyWrite(ctx context.Context, id int, owner string) {
-	pc := c.clients[owner]
-	c.subs.NotifyWrite(id, func(region any) bool {
-		r, ok := region.(*coordRegion)
-		if !ok {
-			return true
-		}
-		treq := TouchRequest{ID: id, Query: r.q, Ts: r.ts, Te: r.te, Bound: PruneToWire(r.bound)}
+func touchVia(ctx context.Context, owner *peerClient, id int) func(q pnn.Query, ts, te int, bound []float64) bool {
+	return func(q pnn.Query, ts, te int, bound []float64) bool {
+		treq := TouchRequest{ID: id, Query: encodeQuery(q, ts, te), Ts: ts, Te: te, Bound: PruneToWire(bound)}
 		var tresp TouchResponse
-		if err := pc.callHedged(ctx, "/internal/touch", &treq, &tresp); err != nil {
+		if err := owner.callHedged(ctx, "/internal/touch", &treq, &tresp); err != nil {
 			return true
 		}
 		return tresp.Touched
-	})
-}
-
-// Subscribe registers a standing query evaluated through the scatter-
-// gather path; its events carry the same Response bytes a single
-// process would deliver at the same merged snapshot and seed.
-// Compatible standing queries (equal pnn.StandingKey) group into one
-// scatter-gather per sweep, exactly like a single process groups them
-// into one RunShared.
-func (c *Coordinator) Subscribe(req pnn.Request, d pnn.Delivery) (*pnn.Subscription, error) {
-	if _, _, err := pnn.NormalizeRequest(req); err != nil {
-		return nil, err
 	}
-	return c.subs.SubscribeKeyed(pnn.StandingKey(req), func() sub.Eval { return c.evalStanding(req) }, d, req), nil
-}
-
-func (c *Coordinator) evalStanding(req pnn.Request) sub.Eval {
-	evals, _ := c.evalStandingGroup("", []any{req}, nil)
-	return evals[0]
-}
-
-// groupState is a standing group's adaptive carry-over: the stop point
-// (worlds drawn) its previous evaluation proved sufficient, used as the
-// next evaluation's early-stop floor.
-type groupState struct {
-	worlds int
-}
-
-// evalStandingGroup is the registry's GroupEval hook: one scatter-
-// gather answers every member of a compatible standing group. Members
-// share the spec by construction of the key; the floor is raised to the
-// group's previously proven budget before gathering, which never
-// changes which worlds are drawn — only how early the replayed
-// executor may stop — so no wire change is needed: peers always
-// pre-draw the full budget.
-func (c *Coordinator) evalStandingGroup(_ string, metas []any, state any) (evals []sub.Eval, newState any) {
-	newState = state
-	reqs := make([]pnn.Request, len(metas))
-	for i, m := range metas {
-		reqs[i], _ = m.(pnn.Request)
-	}
-	evals = make([]sub.Eval, len(reqs))
-	fail := func(vi pnn.VersionInfo, err error) {
-		for i := range evals {
-			resp := pnn.Response{Version: vi, Err: err}
-			evals[i] = sub.Eval{Version: vi.Max, Payload: resp, Fingerprint: pnn.FingerprintResponse(resp)}
-		}
-	}
-	spec, _, err := pnn.NormalizeRequest(reqs[0])
-	if err != nil {
-		fail(c.cachedVersion(), err)
-		return evals, newState
-	}
-	items := make([]shard.GroupItem, len(reqs))
-	for i, req := range reqs {
-		_, item, err := pnn.NormalizeRequest(req)
-		if err != nil {
-			fail(c.cachedVersion(), err)
-			return evals, newState
-		}
-		items[i] = item
-	}
-	reused := false
-	if st, ok := state.(*groupState); ok && spec.Conf.Enabled() && st.worlds > spec.MinWorlds {
-		spec.MinWorlds = st.worlds
-		reused = true
-	}
-	answers, raw, inf, vi, err := c.runGroup(context.Background(), spec, items)
-	if err != nil {
-		fail(vi, err)
-		return evals, newState
-	}
-	if spec.Conf.Enabled() && raw.Worlds > 0 {
-		newState = &groupState{worlds: raw.Worlds}
-	}
-	region := &coordRegion{q: encodeQuery(spec.Q, spec.Ts, spec.Te), ts: spec.Ts, te: spec.Te, bound: inf.PruneDist}
-	shared := make(map[shard.GroupItem]sub.Eval, len(items))
-	for i, a := range answers {
-		// One immutable Response per (op, tau), shared by every member
-		// with that item (pnn.SubEvent payloads are read-only).
-		if ev, ok := shared[items[i]]; ok {
-			evals[i] = ev
-			continue
-		}
-		resp := pnn.ResponseFromAnswer(items[i].Op, a, raw)
-		resp.Stats.SamplerBuilds = raw.SamplerBuilds
-		resp.Stats.GroupSize = len(reqs)
-		resp.Stats.BudgetReused = reused
-		if spec.Conf.Enabled() {
-			resp.Stats.WorldFloor = spec.MinWorlds
-		}
-		resp.Version = vi
-		ev := sub.Eval{
-			Version:      vi.Max,
-			Payload:      resp,
-			Fingerprint:  pnn.FingerprintResponse(resp),
-			BudgetReused: reused,
-		}
-		if a.Err == nil {
-			ev.Influencers = inf.IDs
-			ev.Region = region
-		}
-		evals[i] = ev
-		shared[items[i]] = ev
-	}
-	return evals, newState
-}
-
-// Unsubscribe removes a standing query.
-func (c *Coordinator) Unsubscribe(id int64) bool { return c.subs.Unsubscribe(id) }
-
-// Subscription returns the standing query with the given ID.
-func (c *Coordinator) Subscription(id int64) (*pnn.Subscription, bool) { return c.subs.Get(id) }
-
-// Subscriptions lists the registered standing queries.
-func (c *Coordinator) Subscriptions() []pnn.SubscriptionInfo { return c.subs.List() }
-
-// NumSubscriptions returns the number of registered standing queries.
-func (c *Coordinator) NumSubscriptions() int { return c.subs.Len() }
-
-// SubscriptionStats returns the registry's cumulative counters.
-func (c *Coordinator) SubscriptionStats() pnn.SubscriptionStats { return c.subs.Stats() }
-
-// WaitSubscriptionsIdle blocks until pending re-evaluations drain.
-func (c *Coordinator) WaitSubscriptionsIdle(timeout time.Duration) bool {
-	return c.subs.WaitIdle(timeout)
 }
 
 // CloseSubscriptions shuts standing queries down and stops the health
 // probe loop; the server's shutdown path calls it exactly like it does
 // on a processor.
 func (c *Coordinator) CloseSubscriptions() {
-	c.subs.Close()
+	c.Front.CloseSubscriptions()
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
 }

@@ -58,6 +58,7 @@ func clusterDB(t *testing.T, net *pnn.Network, keep func(id int) bool) *pnn.DB {
 // coordinator over them and the router server it backs.
 type clusterRig struct {
 	net    *pnn.Network
+	proc   *pnn.Processor // the reference behind single
 	single *httptest.Server
 	router *httptest.Server
 	coord  *cluster.Coordinator
@@ -117,7 +118,7 @@ func newClusterRig(t *testing.T, workers int) *clusterRig {
 	t.Cleanup(coord.CloseSubscriptions)
 	router := httptest.NewServer(New(net, coord, Config{BatchWorkers: 2, Ingest: true, Role: RoleRouter}))
 	t.Cleanup(router.Close)
-	return &clusterRig{net: net, single: single, router: router, coord: coord, peers: peers}
+	return &clusterRig{net: net, proc: proc, single: single, router: router, coord: coord, peers: peers}
 }
 
 // TestClusterQueryConformance is the determinism contract of cluster
@@ -161,6 +162,33 @@ func TestClusterQueryConformance(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestClusterRunStatsMatchProcessor: the router's facade-level Stats —
+// the adaptive floor included, which the JSON body does not carry —
+// equal the matched-layout processor's for every semantics, k and
+// budget policy.
+func TestClusterRunStatsMatchProcessor(t *testing.T) {
+	rig := newClusterRig(t, 2)
+	q := pnn.AtState(rig.net, rig.net.NearestState(pnn.Point{X: 0.5, Y: 0.5}))
+	for _, sem := range []pnn.Semantics{pnn.ForAll, pnn.Exists, pnn.Continuous} {
+		for _, k := range []int{1, 2} {
+			for _, conf := range []pnn.Confidence{{}, {Eps: 0.05, MaxSamples: 2000}} {
+				req := pnn.Request{Semantics: sem, Query: q, Ts: 1, Te: 6, K: k, Tau: 0.3, Seed: 5,
+					Confidence: conf, MinWorlds: 512}
+				want, got := rig.proc.Run(req), rig.coord.Run(req)
+				if want.Err != nil || got.Err != nil {
+					t.Fatalf("%s k=%d: processor err %v, router err %v", sem, k, want.Err, got.Err)
+				}
+				if !reflect.DeepEqual(got.Stats, want.Stats) {
+					t.Errorf("%s k=%d conf=%v: router stats %+v, processor %+v", sem, k, conf.Enabled(), got.Stats, want.Stats)
+				}
+				if conf.Enabled() && got.Stats.WorldFloor != 512 {
+					t.Errorf("%s k=%d: router WorldFloor = %d, want 512", sem, k, got.Stats.WorldFloor)
+				}
+			}
+		}
 	}
 }
 

@@ -302,17 +302,6 @@ func (s *Snap) ExistsKNN(q query.Query, ts, te, k int, tau float64, seed int64) 
 	return s.nnQuery(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, tau, false)
 }
 
-// ForAllKNNSpec is ForAllKNN taking the full spec, including the
-// adaptive sample-budget policy.
-func (s *Snap) ForAllKNNSpec(spec GroupSpec, tau float64) ([]Result, query.Stats, error) {
-	return s.nnQuery(spec, tau, true)
-}
-
-// ExistsKNNSpec is ExistsKNN taking the full spec.
-func (s *Snap) ExistsKNNSpec(spec GroupSpec, tau float64) ([]Result, query.Stats, error) {
-	return s.nnQuery(spec, tau, false)
-}
-
 func (s *Snap) nnQuery(spec GroupSpec, tau float64, forall bool) ([]Result, query.Stats, error) {
 	op := OpExists
 	if forall {
@@ -329,13 +318,7 @@ func (s *Snap) nnQuery(spec GroupSpec, tau float64, forall bool) ([]Result, quer
 // per object the maximal timestamp sets on which it stays among the k
 // likely nearest, sorted by (object ID, times).
 func (s *Snap) CNNK(q query.Query, ts, te, k int, tau float64, seed int64) ([]IntervalResult, query.Stats, error) {
-	return s.CNNKSpec(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, tau)
-}
-
-// CNNKSpec is CNNK taking the full spec, including the adaptive
-// sample-budget policy.
-func (s *Snap) CNNKSpec(spec GroupSpec, tau float64) ([]IntervalResult, query.Stats, error) {
-	ans, st, err := s.RunShared(spec, []GroupItem{{Op: OpCNN, Tau: tau}})
+	ans, st, err := s.RunShared(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, []GroupItem{{Op: OpCNN, Tau: tau}})
 	if err != nil {
 		return nil, st, err
 	}

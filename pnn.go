@@ -47,7 +47,6 @@ import (
 	"pnn/internal/shard"
 	"pnn/internal/space"
 	"pnn/internal/store"
-	"pnn/internal/sub"
 	"pnn/internal/uncertain"
 )
 
@@ -255,10 +254,14 @@ func (db *DB) BuildLenientSharded(samples, shards int) (*Processor, []int, error
 // without blocking readers (RCU). A query overlapping a write therefore
 // answers from a consistent version — either entirely before or
 // entirely after the update.
+//
+// The request methods — Run, RunBatchStats, Subscribe and the rest of
+// the standing-query surface — come from the embedded Front, evaluated
+// over the snapshot each request, batch or sweep pins (see localView).
 type Processor struct {
-	net  *Network
-	set  *shard.Set
-	subs *sub.Registry // standing queries; see subscribe.go
+	*Front
+	net *Network
+	set *shard.Set
 }
 
 // SetParallelism spreads the gather-phase world evaluation of ForAllNN /
@@ -431,23 +434,25 @@ type CacheStats = query.CacheStats
 // neighbor of q at every t in [ts, te] is at least tau (P∀NNQ,
 // Definition 2).
 func (p *Processor) ForAllNN(q Query, ts, te int, tau float64, seed int64) ([]Result, Stats, error) {
-	return snapForAllKNN(p.set.Snapshot(), q, ts, te, 1, tau, seed)
+	return p.ForAllKNN(q, ts, te, 1, tau, seed)
 }
 
 // ExistsNN returns every object whose probability of being the NN of q at
 // at least one t in [ts, te] is at least tau (P∃NNQ, Definition 1).
 func (p *Processor) ExistsNN(q Query, ts, te int, tau float64, seed int64) ([]Result, Stats, error) {
-	return snapExistsKNN(p.set.Snapshot(), q, ts, te, 1, tau, seed)
+	return p.ExistsKNN(q, ts, te, 1, tau, seed)
 }
 
 // ForAllKNN generalizes ForAllNN to "among the k nearest" (Section 8).
 func (p *Processor) ForAllKNN(q Query, ts, te, k int, tau float64, seed int64) ([]Result, Stats, error) {
-	return snapForAllKNN(p.set.Snapshot(), q, ts, te, k, tau, seed)
+	a, st, err := p.positional(shard.OpForAll, q, ts, te, k, tau, seed)
+	return convertResults(a.Results), st, err
 }
 
 // ExistsKNN generalizes ExistsNN to "among the k nearest".
 func (p *Processor) ExistsKNN(q Query, ts, te, k int, tau float64, seed int64) ([]Result, Stats, error) {
-	return snapExistsKNN(p.set.Snapshot(), q, ts, te, k, tau, seed)
+	a, st, err := p.positional(shard.OpExists, q, ts, te, k, tau, seed)
+	return convertResults(a.Results), st, err
 }
 
 // ContinuousNN answers PCNNQ (Definition 3): for each object the maximal
@@ -461,21 +466,20 @@ func (p *Processor) ContinuousNN(q Query, ts, te int, tau float64, seed int64) (
 // ContinuousKNN generalizes ContinuousNN to "among the k nearest"
 // (PCkNNQ, Section 8).
 func (p *Processor) ContinuousKNN(q Query, ts, te, k int, tau float64, seed int64) ([]IntervalResult, Stats, error) {
-	return snapContinuousKNN(p.set.Snapshot(), q, ts, te, k, tau, seed)
+	a, st, err := p.positional(shard.OpCNN, q, ts, te, k, tau, seed)
+	return convertIntervals(a.Intervals), st, err
 }
 
-// Run answers one Request — any semantics, with the full knob set
-// including the adaptive Confidence policy — against the current
-// snapshot. It is the single-query form of RunBatch: the same
-// validation, the same determinism contract (the answer depends only on
-// the snapshot and the request's own fields), with Response.Stats
-// reporting the worlds actually drawn and the error bound they
-// guarantee. Unlike the batch path, SamplerBuilds is reported on the
-// response itself.
-func (p *Processor) Run(req Request) Response {
-	resp, raw := runOne(p.set.Snapshot(), req)
-	resp.Stats.SamplerBuilds = raw.SamplerBuilds
-	return resp
+// positional answers one fixed-budget query of the positional methods
+// against the current snapshot. Unlike Run it skips request
+// validation, leaving the engine's own checks in charge.
+func (p *Processor) positional(op shard.GroupOp, q Query, ts, te, k int, tau float64, seed int64) (shard.GroupAnswer, Stats, error) {
+	spec := shard.GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}
+	answers, st, err := p.set.Snapshot().RunShared(spec, []shard.GroupItem{{Op: op, Tau: tau}})
+	if err != nil {
+		return shard.GroupAnswer{}, convStats(st), err
+	}
+	return answers[0], convStats(st), answers[0].Err
 }
 
 // SampleBudget returns the fixed per-query sample budget the processor
@@ -486,25 +490,18 @@ func (p *Processor) SampleBudget() int {
 	return p.set.Snapshot().Parts[0].Engine.SampleCount()
 }
 
-func snapForAllKNN(snap *shard.Snap, q Query, ts, te, k int, tau float64, seed int64) ([]Result, Stats, error) {
-	res, st, err := rawForAllKNN(snap, shard.GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, tau)
-	return res, convStats(st), err
-}
-
-func snapExistsKNN(snap *shard.Snap, q Query, ts, te, k int, tau float64, seed int64) ([]Result, Stats, error) {
-	res, st, err := rawExistsKNN(snap, shard.GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, tau)
-	return res, convStats(st), err
-}
-
-func snapContinuousKNN(snap *shard.Snap, q Query, ts, te, k int, tau float64, seed int64) ([]IntervalResult, Stats, error) {
-	res, st, err := rawContinuousKNN(snap, shard.GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, tau)
-	return res, convStats(st), err
-}
-
 func convertResults(res []shard.Result) []Result {
 	out := make([]Result, len(res))
 	for i, r := range res {
 		out[i] = Result{ObjectID: r.ID, Prob: r.Prob}
+	}
+	return out
+}
+
+func convertIntervals(res []shard.IntervalResult) []IntervalResult {
+	out := make([]IntervalResult, len(res))
+	for i, r := range res {
+		out[i] = IntervalResult{ObjectID: r.ID, Times: r.Times, Prob: r.Prob}
 	}
 	return out
 }
